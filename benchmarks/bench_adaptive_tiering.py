@@ -15,8 +15,8 @@ hot windows.  Measured on the paper's FIR workload:
   eager native backend's (asserted only when a C toolchain exists);
 * the tiered run stays **bit-identical** to the untiered reference.
 
-Writes ``BENCH_adaptive_tiering.json`` (canonical copy under
-``benchmarks/results/``, headline copy at the repository root).
+Writes ``BENCH_adaptive_tiering.json`` (under
+``benchmarks/results/``).
 """
 
 from __future__ import annotations

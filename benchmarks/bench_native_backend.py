@@ -9,8 +9,8 @@ over the fastest Python path.  Measured on the paper's FIR workload
 clear ``MIN_NATIVE_CPS`` simulated cycles per second -- while staying
 bit-identical to both Python backends (the E4 accuracy bar).
 
-Writes ``BENCH_native_backend.json`` (canonical copy under
-``benchmarks/results/``, headline copy at the repository root).
+Writes ``BENCH_native_backend.json`` (under
+``benchmarks/results/``).
 Skips cleanly when the host has no C compiler.
 """
 

@@ -155,9 +155,9 @@ class Toolset:
         ``on_self_modify`` arms the program-memory write guard with a
         degradation policy (``error``, ``recompile`` or ``interpret``;
         see :mod:`repro.resilience`).  ``backend`` (table-based kinds)
-        selects the execution backend -- ``auto``, ``python``,
-        ``module`` or ``native`` (compiled C bursts; falls back to the
-        Python path when no C toolchain is available).  ``tiering``
+        selects the execution backend -- ``auto``, ``python`` or
+        ``native`` (compiled C bursts; falls back to the Python path
+        when no C toolchain is available).  ``tiering``
         (``off``/``auto``/``aggressive`` or a
         :class:`repro.sim.tiering.TierPolicy`) enables adaptive tiered
         execution: profile-hot windows are promoted to richer

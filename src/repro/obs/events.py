@@ -319,7 +319,7 @@ class Observer:
         self.emit(NATIVE, outcome=outcome, **args)
 
     def on_native_fallback(self, reason, **args):
-        """The native backend degraded to the Python module path."""
+        """The native backend degraded to the Python path."""
         self.metrics.inc("native.fallbacks")
         self.emit(NATIVE_FALLBACK, reason=reason, **args)
 

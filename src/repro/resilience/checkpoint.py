@@ -37,6 +37,11 @@ CHECKPOINT_FORMAT = 1
 
 _FILE_MARKER = "repro-checkpoint"
 
+#: Backend names earlier versions stamped that no longer exist, mapped
+#: to the backend a resume applies instead.  Restore itself is
+#: backend-portable, so the mapping only picks the run configuration.
+_LEGACY_BACKENDS = {"module": "auto"}
+
 
 def program_digest(program):
     """A stable fingerprint of a target program's loadable content."""
@@ -81,7 +86,7 @@ class Checkpoint:
     # *re-apply* the original configuration instead of silently
     # reverting to defaults (``repro-sim --resume`` does exactly that).
     # Older checkpoint files simply lack the keys and load with the
-    # defaults below.
+    # defaults below; a retired backend name reads as the default too.
     backend: str = "auto"
     tiering: str = "off"
 
@@ -170,6 +175,7 @@ class Checkpoint:
                 "checkpoint format %r is not supported (expected %d)"
                 % (fmt, CHECKPOINT_FORMAT)
             )
+        backend = payload.get("backend", "auto")
         try:
             return cls(
                 format=fmt,
@@ -185,7 +191,7 @@ class Checkpoint:
                 halted=payload["halted"],
                 stall_cycles=payload["stall_cycles"],
                 state=payload["state"],
-                backend=payload.get("backend", "auto"),
+                backend=_LEGACY_BACKENDS.get(backend, backend),
                 tiering=payload.get("tiering", "off"),
             )
         except KeyError as exc:

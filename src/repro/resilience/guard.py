@@ -98,10 +98,6 @@ def splice_table_window(table, mini, engine=None, mode="refresh", pcs=None):
             # against untouched neighbours, so force these packets
             # onto the dynamically-composed path.
             table.schedule_safety[pc] = "unknown"
-        if table.items_by_stage is not None and mini.items_by_stage:
-            items = mini.items_by_stage.get(pc)
-            if items is not None:
-                table.items_by_stage[pc] = items
         if mode == "promote":
             if mini.ir_by_stage:
                 ir = mini.ir_by_stage.get(pc)
@@ -481,26 +477,22 @@ class TableGuardTarget:
             invalidate_native(sorted(pcs))
 
     def refresh(self, pc):
-        """Re-decode the packet at ``pc`` from live memory; patch table."""
+        """Re-decode the packet at ``pc`` from live memory; patch table.
+
+        The patch table is built exactly as at load time (cache, native
+        or direct compile), only serially: one packet never pays for a
+        worker pool.
+        """
+        from repro.sim.compiled import build_simulation_table
+
         sim = self._sim
-        state = sim.state
-        pmem = getattr(state, self._pmem_name)
+        pmem = getattr(sim.state, self._pmem_name)
         limit = self._segment_limit(pc, len(pmem))
         extent = packet_extent(sim.model, pmem.__getitem__, pc, limit)
         words = [int(word) for word in pmem[pc:pc + extent]]
         patch = Program(name="<recompile:0x%x>" % pc, entry=pc)
         patch.add_segment(self._pmem_name, pc, words)
-        if sim.cache is not None:
-            mini = sim.cache.load_table(
-                sim._simcc, patch, state, sim.control,
-                level=sim.level, observer=sim.observer,
-            )
-        else:
-            mini = sim._simcc.compile(
-                patch, state, sim.control, level=sim.level,
-                observer=sim.observer,
-            )
-        updates = self._merge(mini)
+        updates = self._merge(build_simulation_table(sim, patch))
         return sim.table.slots[pc], updates
 
     def _merge(self, mini):

@@ -7,7 +7,8 @@ pipeline cycle by cycle -- the paper's *dynamic scheduling*.
 
 ``level="sequenced"`` (kind ``compiled``) reproduces exactly what the
 paper implemented (steps 1+2); ``level="instantiated"`` (kind
-``unfolded``) adds the announced third step, operation instantiation.
+``unfolded``) adds the announced third step, operation instantiation,
+and is always built as a portable table (:mod:`repro.simcc.portable`).
 """
 
 from __future__ import annotations
@@ -17,30 +18,32 @@ from repro.sim.base import Simulator
 from repro.simcc.generator import generate_simulation_compiler
 
 
-def build_simulation_table(simulator, program):
-    """Shared load-time table construction for the table-based kinds.
+def build_simulation_table(simulator, program, jobs=None):
+    """Table construction for the table-based kinds, at load time and
+    for the write guard's per-packet refresh.
 
-    The cache path always rehydrates a *portable* table; without a
-    cache, the ``module``/``native`` backends also force the portable
-    path (portable tables are what the emitted module and the native
-    renderer consume), while ``auto``/``python`` compile directly.
+    A cache rehydrates a *portable* table.  Without one, the ``native``
+    backend also builds a portable table, because the native renderer
+    needs lowered IR and a level-2 table has none; every other backend
+    compiles directly (which, at level ``instantiated``, is the same
+    portable build).  ``jobs`` fans a cold build out over workers.
     """
-    if simulator._cache is not None:
-        return simulator._cache.load_table(
+    level = simulator.level
+    if simulator.cache is not None:
+        return simulator.cache.load_table(
             simulator._simcc, program, simulator.state, simulator.control,
-            level=simulator._level, jobs=simulator._jobs,
-            observer=simulator.observer,
+            level=level, jobs=jobs, observer=simulator.observer,
         )
-    if simulator.backend in ("module", "native"):
-        portable = simulator._simcc.compile_portable(
-            program, level=simulator._level, jobs=simulator._jobs,
+    if simulator.backend == "native":
+        from repro.simcc.portable import build_portable_table
+
+        return build_portable_table(
+            simulator.model, program, level, jobs=jobs,
             observer=simulator.observer,
-        )
-        return portable.bind(simulator.state, simulator.control)
+        ).bind(simulator.state, simulator.control)
     return simulator._simcc.compile(
-        program, simulator.state, simulator.control,
-        level=simulator._level, jobs=simulator._jobs,
-        observer=simulator.observer,
+        program, simulator.state, simulator.control, level=level,
+        jobs=jobs, observer=simulator.observer,
     )
 
 
@@ -97,11 +100,12 @@ class CompiledSimulator(Simulator):
     set, load-time simulation compilation is replaced by a cache lookup
     (compiling and storing on the first miss).  ``jobs`` fans a cold
     compile out over a worker pool (see :mod:`repro.simcc.parallel`).
-    ``backend`` selects the execution backend (see
-    :data:`repro.sim.SIM_BACKENDS`).  ``tiering`` enables adaptive
-    tiered execution (see :mod:`repro.sim.tiering`): ``"auto"`` /
-    ``"aggressive"`` (or a :class:`~repro.sim.tiering.TierPolicy`)
-    promote profile-hot windows to richer representations mid-run.
+    ``backend`` selects the execution backend -- ``auto``/``python``
+    or ``native`` (see :data:`repro.sim.SIM_BACKENDS`).  ``tiering``
+    enables adaptive tiered execution (see :mod:`repro.sim.tiering`):
+    ``"auto"`` / ``"aggressive"`` (or a
+    :class:`~repro.sim.tiering.TierPolicy`) promote profile-hot windows
+    to richer representations mid-run.
     """
 
     def __init__(self, model, level="sequenced", cache=None, jobs=None,
@@ -134,7 +138,7 @@ class CompiledSimulator(Simulator):
 
     def _build_engine(self, program):
         # Simulation compilation happens here, at load time.
-        self.table = build_simulation_table(self, program)
+        self.table = build_simulation_table(self, program, jobs=self._jobs)
         engine = Pipeline(
             self.model, self.state, self.control,
             self.table.make_frontend(self.model),

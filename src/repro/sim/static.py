@@ -430,7 +430,7 @@ class StaticScheduledSimulator(Simulator):
             maybe_wrap_tiered,
         )
 
-        self.table = build_simulation_table(self, program)
+        self.table = build_simulation_table(self, program, jobs=self._jobs)
         column_compiler = None
         if self._level == "instantiated":
             column_compiler = self._compile_column

@@ -203,7 +203,7 @@ class TierManager:
         self._native_attempted = set()
         self._native_off = False
         self._build = None
-        self._base_instantiated = (
+        self._base_unfolded = (
             getattr(simulator, "level", None) == "instantiated"
         )
         #: Consecutive polls that found nothing to plan.
@@ -310,7 +310,7 @@ class TierManager:
             pcs = span & set(table.slots)
             if not pcs:
                 continue
-            if not self._base_instantiated and not pcs <= self._unfolded:
+            if not self._base_unfolded and not pcs <= self._unfolded:
                 return self._plan_unfolded(start, limit, pcs)
             native = self._plan_native(start, limit, pcs)
             if native is not None:

@@ -201,8 +201,10 @@ class SimulationCache:
                     else:
                         observer.on_cache(outcome, level=level)
         if portable is None:
-            portable = compiler.compile_portable(program, level=level,
-                                                 jobs=jobs, observer=observer)
+            from repro.simcc.portable import build_portable_table
+
+            portable = build_portable_table(compiler.model, program, level,
+                                            jobs=jobs, observer=observer)
             with _obs.span(observer, "cache.store", level=level):
                 self.store_portable(compiler.model, program, level, portable)
             if observer is not None:

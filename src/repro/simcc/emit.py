@@ -109,17 +109,17 @@ def emit_simulator_module(model, program, level="sequenced", jobs=None,
     :class:`repro.simcc.cache.SimulationCache` instead of compiling;
     ``jobs`` fans a cold compile out over worker processes.
     """
-    if portable is None and cache is not None:
-        portable = cache.load_portable(model, program, level)
-        if portable is None:
-            from repro.simcc.portable import build_portable_table
-
-            portable = build_portable_table(model, program, level, jobs=jobs)
-            cache.store_portable(model, program, level, portable)
     if portable is None:
         from repro.simcc.portable import build_portable_table
 
-        portable = build_portable_table(model, program, level, jobs=jobs)
+        def build():
+            return build_portable_table(model, program, level, jobs=jobs)
+
+        if cache is not None:
+            portable = cache.load_or_build_portable(model, program, level,
+                                                    build)
+        else:
+            portable = build()
     return render_module(model, program, portable)
 
 

@@ -760,12 +760,11 @@ def dump_program_c(model, program, stream=None):
     import sys
 
     from repro.machine import PipelineControl, ProcessorState
-    from repro.simcc.generator import generate_simulation_compiler
+    from repro.simcc.portable import build_portable_table
 
     out = stream or sys.stdout
     state_layout = L.StateLayout.build(model)
-    compiler = generate_simulation_compiler(model)
-    portable = compiler.compile_portable(program, level="instantiated")
+    portable = build_portable_table(model, program, level="instantiated")
     state = ProcessorState(model)
     control = PipelineControl()
     table = portable.bind(state, control)

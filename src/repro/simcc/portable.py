@@ -1,10 +1,13 @@
 """Portable (state-independent) simulation tables.
 
-:meth:`repro.simcc.compiler.SimulationCompiler.compile` produces a
-:class:`~repro.simcc.compiler.SimulationTable` whose micro-operations
-are bound to one concrete state/control pair -- fast to execute, but
-impossible to persist.  A :class:`PortableTable` is the relocatable
-intermediate between the two: the full result of simulation compilation
+A :class:`~repro.simcc.compiler.SimulationTable` holds micro-operations
+bound to one concrete state/control pair -- fast to execute, but
+impossible to persist.  A :class:`PortableTable` is the relocatable form
+in front of it, and the only builder of generated-code (level-3)
+tables: :meth:`repro.simcc.compiler.SimulationCompiler.compile` at level
+``instantiated``, the cache, the tier manager and the native and module
+renderers all start from :func:`build_portable_table`.  It holds the
+full result of simulation compilation
 (decode, variant resolution, scheduling, packet formation, operation
 instantiation) expressed as
 
@@ -12,7 +15,8 @@ instantiation) expressed as
   functions, one per occupied (pc, stage),
 * a table spec mapping program addresses to per-stage function names
   plus packet extents,
-* the per-address control-capability flags the static scheduler needs.
+* the per-address control-capability flags the static scheduler needs,
+* hazard verdicts and absint proofs per packet.
 
 A portable table can be bound to any state/control pair (:meth:`bind`),
 serialised byte-for-byte (:mod:`repro.simcc.cache`), or rendered as a
@@ -25,10 +29,11 @@ Note one deliberate asymmetry: a portable table is always *operation
 instantiated* (generated code), even when built for level
 ``sequenced``.  The level still participates in cache keys so that
 tables built for different levels never alias, and the bound table
-reports the level it was compiled for.  Execution results are
-bit-identical across the representations -- the code generator and the
-AST evaluator are required to agree exactly, and the cross-check
-benchmarks enforce it.
+reports the level it was compiled for -- but a *cached* ``compiled``
+run executes generated code, so level-2 speed figures must come from
+uncached runs.  Execution results are bit-identical across the
+representations -- the code generator and the AST evaluator are
+required to agree exactly, and the cross-check benchmarks enforce it.
 """
 
 from __future__ import annotations
@@ -115,10 +120,9 @@ class PortableTable:
         """Rehydrate into a :class:`SimulationTable` bound to a
         state/control pair, without re-running the simulation compiler.
 
-        The bound table carries no ``items_by_stage`` (the decoded
-        (node, behaviour) pairs do not survive serialisation) but does
-        carry ``ir_by_stage`` rebuilt from the persisted IR, so static
-        level-3 column *fusion* works on cache-rehydrated tables too.
+        The bound table carries ``ir_by_stage`` rebuilt from the
+        persisted IR, so static level-3 column *fusion* works on every
+        bound table, cache-rehydrated or fresh.
         """
         from repro.simcc.compiler import SimulationTable
 
@@ -148,7 +152,6 @@ class PortableTable:
             level=self.level,
             slots=slots,
             has_control=dict(self.has_control),
-            items_by_stage=None,
             instruction_count=self.instruction_count,
             word_count=self.word_count,
             schedule_safety=(

@@ -373,16 +373,21 @@ class TestRunConfigMetadata:
         assert clone.backend == "python"
         assert clone.tiering == "aggressive"
 
+    @pytest.mark.parametrize("stamped_backend", [None, "module"])
     def test_legacy_payload_defaults_to_auto_off(
-        self, testmodel, loop_program
+        self, testmodel, loop_program, stamped_backend
     ):
         checkpoint = _mid_run_checkpoint(
             testmodel, "compiled", loop_program
         )
         payload = checkpoint.to_payload()
-        # a file written before the metadata existed lacks the keys
-        del payload["backend"]
+        # a file written before the metadata existed lacks the keys;
+        # one written under the retired ``module`` backend stamps it
         del payload["tiering"]
+        if stamped_backend is None:
+            del payload["backend"]
+        else:
+            payload["backend"] = stamped_backend
         legacy = Checkpoint.from_payload(payload)
         assert legacy.backend == "auto"
         assert legacy.tiering == "off"

@@ -1,12 +1,14 @@
 """Cross-backend and pass tests for the SimIR layer.
 
-The tentpole guarantee of the IR refactor: the in-process exec backend
-(``PythonExecBackend``) and the standalone module emitter
-(``ModuleBackend``) consume the *same* lowered, post-pass IR, so they
-are bit-identical by construction.  These tests check the construction:
+The guarantee of the IR layer: the exec backend (``PythonExecBackend``,
+fused static columns) and the module backend (``ModuleBackend``, every
+level-3 table and the standalone emitted module) consume the *same*
+lowered, post-pass IR, so they are bit-identical by construction.
+These tests check the construction:
 
-* every supported application x model pair runs to identical
-  architectural state and cycle counts on both backends,
+* every supported application x model pair runs the emitted module to
+  the interpretive simulator's architectural state and cycle count, and
+  fused columns to ``unfolded``'s,
 * the optimisation passes fire where they should (and only there) --
   including dead-write elimination inside a fused static column,
 * IR functions survive the payload round-trip the cache depends on,
@@ -70,13 +72,17 @@ def _run_module_backend(model, program, max_cycles=10_000_000):
     ids=[entry[0] for entry in APP_MATRIX],
 )
 class TestCrossBackendBitExactness:
-    """Exec backend vs emitted module, over the full app matrix."""
+    """Generated code vs an independent reference, over the full app
+    matrix."""
 
     def test_state_and_cycles_identical(self, builder):
+        # The interpretive simulator shares no code with the generated
+        # one; ``unfolded`` renders through the same ModuleBackend as
+        # the emitted module, so it could not catch a renderer bug.
         app = builder()
         model, program = load_app_program(app)
 
-        reference = create_simulator(model, "unfolded")
+        reference = create_simulator(model, "interpretive")
         reference.load_program(program)
         reference.run()
         app.verify(reference.state)  # golden-model check on the reference
@@ -517,8 +523,10 @@ class TestNativeBackendFallback:
     def test_backend_validation(self, testmodel):
         from repro.support.errors import ReproError
 
-        with pytest.raises(ReproError, match="unknown simulation backend"):
-            create_simulator(testmodel, "unfolded", backend="jit")
+        for backend in ("jit", "module"):
+            with pytest.raises(ReproError,
+                               match="unknown simulation backend"):
+                create_simulator(testmodel, "unfolded", backend=backend)
         with pytest.raises(ReproError, match="table-based"):
             create_simulator(testmodel, "interpretive", backend="native")
 

@@ -109,10 +109,12 @@ class TestSpans:
                 "simcc.sequence", "simcc.packetize",
                 "simcc.analyze"} <= names
 
-    def test_instantiated_level_records_instantiate_span(
+    def test_instantiated_level_records_portable_spans(
             self, testmodel, testmodel_tools):
         observer, _, _ = run_traced(testmodel, testmodel_tools, "unfolded")
-        assert observer.spans_of("simcc.instantiate")
+        compile_span, = observer.spans_of("simcc.compile")
+        assert compile_span.args.get("portable") is True
+        assert observer.spans_of("simcc.absint")
         assert not observer.spans_of("simcc.sequence")
 
     def test_span_durations_accumulate_into_histograms(self, traced):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import absint
 from repro.lisa.semantics import compile_source
 from repro.machine.control import PipelineControl
 from repro.machine.state import ProcessorState
@@ -230,6 +231,12 @@ class TestExecutionEquality:
             assert stats.cycles == ref_stats.cycles
             assert stats.instructions == ref_stats.instructions
             assert simulator.state.differences(reference.state) == []
+            if kind in ("unfolded", "unfolded_static"):
+                # Uncached level-3 tables come from the same portable
+                # build, so they carry the same absint proofs.
+                assert reference.table.proofs is not None
+                assert (absint.proofs_to_payload(reference.table.proofs)
+                        == absint.proofs_to_payload(simulator.table.proofs))
         assert cold.stats["stores"] == 1
         assert warm.stats["disk_hits"] == 1
 
