@@ -30,6 +30,8 @@ read/write sets, the set of resources reachable by ``WriteElem`` stores
 (the guard-elision fact), per-resource intervals of every stored value
 (validated against concrete execution by the test suite), and any
 provably-trapping operations (surfaced by ``repro-lint`` as ``IR002``).
+:func:`canonical_stores` runs the same walk over one IR function for the
+pass pipeline's :func:`repro.simcc.ir.coalesce_canonicalisation`.
 Proofs serialise to marshal-compatible payloads and persist with the
 cached table (:mod:`repro.simcc.cache`, payload format 5).
 """
@@ -110,8 +112,14 @@ def const(value):
     return make(value, value, value if value >= 0 else None)
 
 
+def _range_of(width, signed):
+    if signed:
+        return (-(1 << (width - 1)), (1 << (width - 1)) - 1)
+    return (0, (1 << width) - 1)
+
+
 def of_width(width, signed):
-    lo, hi = ir._range_of(width, signed)
+    lo, hi = _range_of(width, signed)
     return make(lo, hi)
 
 
@@ -142,7 +150,7 @@ def _bit_fallback(*vals):
             return TOP
         for value in (val.lo, val.hi):
             bits = max(bits, value.bit_length() + 1)
-    lo, hi = ir._range_of(min(bits, _BIT_CAP), True)
+    lo, hi = _range_of(min(bits, _BIT_CAP), True)
     return make(lo, hi)
 
 
@@ -238,9 +246,7 @@ class PacketProof:
     from generated code).  ``cells`` maps each written resource to the
     joined ``(lo, hi)`` interval of every value stored into it (``None``
     ends mean unbounded); concrete runs must stay inside it.  ``traps``
-    lists provably-faulting operations, ``raw_stores`` the ids of write
-    ops whose value is provably canonical already (render-time only,
-    not persisted).
+    lists provably-faulting operations.
     """
 
     native: bool
@@ -252,8 +258,6 @@ class PacketProof:
         field(default_factory=dict)
     traps: Tuple[str, ...] = ()
     has_loop: bool = False
-    raw_stores: FrozenSet[int] = field(default=frozenset(), repr=False,
-                                       compare=False)
 
     def to_payload(self):
         """Marshal-compatible rendering (persisted with cached tables)."""
@@ -296,7 +300,7 @@ class _Analysis:
         self.elem_stores: Set[str] = set()
         self.cells: Dict[str, AbsVal] = {}
         self.traps: List[str] = []
-        self.raw_stores: Set[int] = set()
+        self.canonical: Set[int] = set()
         self.has_loop = False
         self.failure: Optional[str] = None
 
@@ -310,6 +314,16 @@ class _Analysis:
     def record_store(self, resource, stored):
         seen = self.cells.get(resource)
         self.cells[resource] = stored if seen is None else join(seen, stored)
+
+
+def _resource_dtype(model, name):
+    reg = model.registers.get(name)
+    if reg is not None:
+        return reg.dtype
+    mem = model.memories.get(name)
+    if mem is not None:
+        return mem.dtype
+    return None
 
 
 def _resource_length(model, name):
@@ -340,14 +354,14 @@ def _eval_value(value, env, acc):
     if isinstance(value, ir.Const):
         return _require_fits(const(value.value), acc)
     if isinstance(value, ir.ReadReg):
-        dtype = ir._resource_dtype(model, value.name)
+        dtype = _resource_dtype(model, value.name)
         if dtype is None:
             acc.fail("unknown resource %r" % value.name)
             return TOP
         acc.reads.add(value.name)
         return of_width(dtype.width, dtype.signed)
     if isinstance(value, ir.ReadElem):
-        dtype = ir._resource_dtype(model, value.resource)
+        dtype = _resource_dtype(model, value.resource)
         if dtype is None:
             acc.fail("unknown resource %r" % value.resource)
             return TOP
@@ -446,15 +460,20 @@ def _eval_intrinsic(value, env, acc):
     return TOP
 
 
-def _stored_fact(op, value_fact):
-    """The abstract value a write actually stores: canonicalisation
-    wraps out-of-range values onto the full declared range."""
-    if op.width is None:
-        return value_fact
-    lo, hi = ir._range_of(op.width, op.signed)
-    if value_fact.within(lo, hi):
-        return value_fact
-    return make(lo, hi)
+def _record_write(op, resource, value_fact, acc):
+    """Record a write of ``value_fact`` into ``resource``.  A masked
+    write whose value already fits its declared width is canonical (the
+    mask is a no-op); any other masked write stores the full declared
+    range, since canonicalisation wraps out-of-range values."""
+    acc.writes.add(resource)
+    stored = value_fact
+    if op.width is not None:
+        lo, hi = _range_of(op.width, op.signed)
+        if value_fact.within(lo, hi):
+            acc.canonical.add(id(op))
+        else:
+            stored = make(lo, hi)
+    acc.record_store(resource, stored)
 
 
 def _exec_ops(ops, env, acc):
@@ -462,32 +481,23 @@ def _exec_ops(ops, env, acc):
     (local name -> :class:`AbsVal`) in place."""
     for op in ops:
         if isinstance(op, ir.WriteReg):
-            if ir._resource_dtype(acc.model, op.name) is None:
+            if _resource_dtype(acc.model, op.name) is None:
                 acc.fail("unknown resource %r" % op.name)
                 continue
-            fact = _eval_value(op.value, env, acc)
-            acc.writes.add(op.name)
-            stored = _stored_fact(op, fact)
-            if op.width is not None and stored is fact:
-                acc.raw_stores.add(id(op))
-            acc.record_store(op.name, stored)
+            _record_write(op, op.name, _eval_value(op.value, env, acc), acc)
         elif isinstance(op, ir.WriteElem):
             if op.resource == acc.pmem_name:
                 acc.fail(
                     "writes program memory (guard must observe the store)"
                 )
-            if ir._resource_dtype(acc.model, op.resource) is None:
+            if _resource_dtype(acc.model, op.resource) is None:
                 acc.fail("unknown resource %r" % op.resource)
                 continue
             index = _eval_value(op.index, env, acc)
             _check_index(op.resource, index, acc)
-            fact = _eval_value(op.value, env, acc)
-            acc.writes.add(op.resource)
             acc.elem_stores.add(op.resource)
-            stored = _stored_fact(op, fact)
-            if op.width is not None and stored is fact:
-                acc.raw_stores.add(id(op))
-            acc.record_store(op.resource, stored)
+            _record_write(op, op.resource, _eval_value(op.value, env, acc),
+                          acc)
         elif isinstance(op, ir.WriteLocal):
             env[op.name] = _eval_value(op.value, env, acc)
         elif isinstance(op, ir.Control):
@@ -569,8 +579,20 @@ def analyze_packet(funcs_by_stage, model, pmem_name):
         },
         traps=tuple(acc.traps),
         has_loop=acc.has_loop,
-        raw_stores=frozenset(acc.raw_stores),
     )
+
+
+def canonical_stores(func, model):
+    """Ids of the masked writes in one IR function whose stored value
+    is proven already canonical for the write's declared width.
+
+    Walks ``func`` exactly as :func:`analyze_packet` walks each function
+    of a packet (fresh local environment; run-time loop bodies are only
+    summarised, so writes inside them are never proven).
+    """
+    acc = _Analysis(model, model.config.program_memory)
+    _exec_ops(func.ops, {}, acc)
+    return acc.canonical
 
 
 # ---------------------------------------------------------------------------
@@ -629,68 +651,21 @@ def table_store_resources(table, model):
 def surviving_dead_writes(func):
     """Descriptions of dead writes DCE had to keep for trap parity.
 
-    Re-runs the deadness scan of
-    :func:`repro.simcc.ir.eliminate_dead_writes` *without* its trap-free
-    gate and reports only the writes that gate blocked: their stored
-    value is never observed, but evaluating it may fault, so the pass
-    could not remove them.  Worth surfacing -- the dead computation
-    usually hides a behaviour bug.
+    Reports the writes :func:`repro.simcc.ir.dead_writes` finds never
+    observed but whose value may fault, so the pass could not remove
+    them.  Worth surfacing -- the dead computation usually hides a
+    behaviour bug.
     """
     found = []
-    ops = list(func.ops)
-    for i, op in enumerate(ops):
-        cell = None
-        local_name = None
-        if isinstance(op, (ir.WriteReg, ir.WriteElem)):
-            cell = ir.write_cell(op)
-            if cell is None or cell[1] == "*":
-                continue
-            trap_kept = not ir._trap_free(op.value) or (
-                isinstance(op, ir.WriteElem)
-                and not ir._trap_free(op.index)
-            )
-        elif isinstance(op, ir.WriteLocal):
-            local_name = op.name
-            trap_kept = not ir._trap_free(op.value)
-        else:
-            continue
-        if not trap_kept:
-            continue  # trap-free and live, or already removed by DCE
-        dead = None
-        for later in ops[i + 1:]:
-            later_cells, later_locals = ir._op_reads(later)
-            if cell is not None and any(
-                ir._cells_touch(cell, read) for read in later_cells
-            ):
-                dead = False
-                break
-            if local_name is not None and local_name in later_locals:
-                dead = False
-                break
-            if isinstance(later, ir.Control):
-                if cell is not None:
-                    dead = False
-                    break
-                continue
-            if cell is not None \
-                    and isinstance(later, (ir.WriteReg, ir.WriteElem)) \
-                    and ir.write_cell(later) == cell:
-                dead = True
-                break
-            if local_name is not None \
-                    and isinstance(later, ir.WriteLocal) \
-                    and later.name == local_name:
-                dead = True
-                break
-        if dead is None:
-            dead = local_name is not None
-        if dead:
-            target = cell[0] if cell is not None else local_name
-            found.append(
-                "dead write to %s survives elimination (its value may "
-                "fault, so removing it would change trap behaviour)"
-                % target
-            )
+    for index, trap_free in ir.dead_writes(func.ops):
+        if trap_free:
+            continue  # removable: dead-write elimination's job
+        op = func.ops[index]
+        target = op.resource if isinstance(op, ir.WriteElem) else op.name
+        found.append(
+            "dead write to %s survives elimination (its value may "
+            "fault, so removing it would change trap behaviour)" % target
+        )
     return found
 
 
@@ -770,6 +745,7 @@ __all__ = [
     "PacketProof",
     "analyze_packet",
     "analyze_table_ir",
+    "canonical_stores",
     "check_ir",
     "surviving_dead_writes",
     "table_proofs",

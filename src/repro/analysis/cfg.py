@@ -21,7 +21,7 @@ schedule statically (or plain wrong):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.effects import EffectsAnalyzer, cells_collide
 from repro.coding.decoder import InstructionDecoder
@@ -69,10 +69,6 @@ class ProgramCFG:
     order: tuple  # canonical packet starts in address order
     segments: tuple  # ((base, limit), ...) program-memory segments
     entry: int
-
-    @property
-    def packet_starts(self):
-        return frozenset(self.packets)
 
     def in_program(self, address):
         return any(base <= address < limit for base, limit in self.segments)

@@ -19,7 +19,6 @@ whole-resource wildcard ``("R", "*")``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -29,52 +28,6 @@ from repro.support.errors import ReproError
 #: Maximum sub-operation inline depth the lowering follows before
 #: giving up and marking the effects conservative/truncated.
 MAX_CALL_DEPTH = 16
-
-_ELEMENT = re.compile(r"^s\.(\w+)\[(\-?\d+)\]$")
-_SCALAR = re.compile(r"^s\.(\w+)$")
-_WILDCARD = re.compile(r"^s\.(\w+)\[")
-_ACCESS = re.compile(r"s\.(\w+)")
-_CONST_INDEX = re.compile(r"\[(\-?\d+)\]")
-_CONST_INT = re.compile(r"^\(*\-?\d+\)*$")
-
-
-def classify_lvalue(lvalue_source):
-    """Map a generated lvalue to a cell key: (resource, element|None|'*').
-
-    Returns ``None`` for behaviour-local targets (not architectural).
-    Retained for tools that classify rendered source text; the analyzer
-    itself now reads cells off the IR.
-    """
-    match = _ELEMENT.match(lvalue_source)
-    if match:
-        return (match.group(1), match.group(2))
-    match = _SCALAR.match(lvalue_source)
-    if match:
-        return (match.group(1), None)
-    match = _WILDCARD.match(lvalue_source)
-    if match:
-        return (match.group(1), "*")
-    return None
-
-
-def scan_read_cells(source):
-    """All architectural cells a generated expression reads.
-
-    Scans resolved source text for ``s.<resource>`` accesses: a literal
-    index yields an exact element cell, a computed index a wildcard,
-    no index a scalar.  Nested accesses (``s.dmem[s.R[3]]``) yield both
-    the outer wildcard and the inner element.
-    """
-    cells = set()
-    for match in _ACCESS.finditer(source):
-        rest = source[match.end():]
-        if rest.startswith("["):
-            index = _CONST_INDEX.match(rest)
-            element = index.group(1) if index else "*"
-            cells.add((match.group(1), element))
-        else:
-            cells.add((match.group(1), None))
-    return cells
 
 
 def cells_collide(a, b):
@@ -95,16 +48,6 @@ def cell_text(cell, other=None):
     if element == "*":
         return "%s[...]" % resource
     return "%s[%s]" % (resource, element)
-
-
-def const_int(source):
-    """The integer a generated value expression denotes, or None."""
-    if _CONST_INT.match(source) and source.count("(") == source.count(")"):
-        try:
-            return int(source.strip("()"))
-        except ValueError:
-            return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -328,10 +271,7 @@ __all__ = [
     "InstructionEffects",
     "StageEffects",
     "PCWrite",
-    "classify_lvalue",
-    "scan_read_cells",
     "cells_collide",
     "cell_text",
-    "const_int",
     "packet_collisions",
 ]

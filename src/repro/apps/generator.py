@@ -45,18 +45,6 @@ def build_synthetic(model_name="c62x", target_words=512, branch_density=0.0,
     raise ReproError("no synthetic generator for model %r" % model_name)
 
 
-def _body_ops(rng, count, amplitude):
-    """Random checksum op stream: (kind, constant) pairs."""
-    ops = []
-    for _ in range(count):
-        choice = rng() % 3
-        constant = (rng() % (2 * amplitude + 1)) - amplitude
-        ops.append(("add", constant) if choice == 0 else
-                   ("xor", constant) if choice == 1 else
-                   ("shl", 1))
-    return ops
-
-
 def _apply_ops(ops, iterations):
     checksum = 0
     for _ in range(iterations):

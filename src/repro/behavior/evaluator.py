@@ -61,11 +61,6 @@ def execute_behavior(statements, node, ctx):
     _exec_statements(statements, node, ctx, {})
 
 
-def evaluate_expression(expression, node, ctx):
-    """Evaluate a single expression in the context of ``node``."""
-    return _eval(expression, node, ctx, {})
-
-
 # -- statements ---------------------------------------------------------------
 
 

@@ -217,6 +217,13 @@ class SimulationCache:
     def load_portable(self, model, program, level, window=None):
         """The cached portable table, or None on a miss."""
         digest = table_digest(model, program, level, window=window)
+        portable = self._lookup(digest)
+        if portable is None:
+            self.stats["misses"] += 1
+        return portable
+
+    def _lookup(self, digest):
+        """Memory, then disk; counts hits but not misses."""
         portable = self._memory_get(digest)
         if portable is not None:
             self.stats["memory_hits"] += 1
@@ -225,9 +232,7 @@ class SimulationCache:
         if portable is not None:
             self.stats["disk_hits"] += 1
             self._memory_put(digest, portable)
-            return portable
-        self.stats["misses"] += 1
-        return None
+        return portable
 
     def store_portable(self, model, program, level, portable, window=None):
         """Persist a portable table under its content address.
@@ -251,10 +256,13 @@ class SimulationCache:
 
         Concurrent calls for the same (model, program, level, window)
         run ``builder()`` exactly once: losers block on the winner's
-        flight lock, then re-check the cache and pick up the published
-        entry (counted as ``single_flight_waits``).  Used by the tiered
-        execution manager, whose background promotions of the same hot
-        window would otherwise compile the same artifact repeatedly.
+        flight lock (counted as ``single_flight_waits``).  Every flight
+        re-checks the cache once it holds the lock -- a flight that
+        missed just before the previous winner published and released
+        creates a fresh lock, and must pick up the entry rather than
+        build again.  Used by the tiered execution manager, whose
+        background promotions of the same hot window would otherwise
+        compile the same artifact repeatedly.
         """
         digest = table_digest(model, program, level, window=window)
         portable = self.load_portable(model, program, level, window=window)
@@ -263,13 +271,11 @@ class SimulationCache:
         with self._flight_lock(digest) as won:
             if not won:
                 self.stats["single_flight_waits"] += 1
-                portable = self.load_portable(model, program, level,
-                                              window=window)
-                if portable is not None:
-                    return portable
-            portable = builder()
-            self.store_portable(model, program, level, portable,
-                                window=window)
+            portable = self._lookup(digest)
+            if portable is None:
+                portable = builder()
+                self.store_portable(model, program, level, portable,
+                                    window=window)
         return portable
 
     def _flight_lock(self, digest):
@@ -299,14 +305,6 @@ class SimulationCache:
                 return False
 
         return _Flight()
-
-    def module_source(self, model, program, level="sequenced", jobs=None):
-        """The standalone emitted module for ``program``, served from the
-        cache when possible (see :func:`repro.simcc.emit`)."""
-        from repro.simcc.emit import emit_simulator_module
-
-        return emit_simulator_module(model, program, level=level, jobs=jobs,
-                                     cache=self)
 
     # -- native burst artifacts ---------------------------------------------
 

@@ -21,9 +21,10 @@ one small typed IR:
   conditional behaviour.
 
 A pass pipeline (:func:`run_passes`) optimises the lowered form --
-constant folding of decoded operands, width-canonicalisation
-coalescing, dead local/resource-write elimination, runtime-helper
-hoisting -- and two backends consume the *same* lowered IR:
+constant folding of decoded operands, dead local/resource-write
+elimination, width-canonicalisation coalescing (on facts proven by
+:mod:`repro.analysis.absint`), runtime-helper hoisting -- and two
+backends consume the *same* lowered IR:
 
 * :class:`PythonExecBackend` renders an :class:`IRFunction` and
   ``compile``/``exec``\\ s it in-process (the compiled simulator and the
@@ -788,101 +789,32 @@ def fold_constants(func, model, stats):
     return func
 
 
-def _range_of(width, signed):
-    if signed:
-        return (-(1 << (width - 1)), (1 << (width - 1)) - 1)
-    return (0, (1 << width) - 1)
-
-
-def _range_fits(src, dst):
-    return src[0] >= dst[0] and src[1] <= dst[1]
-
-
-def _resource_dtype(model, name):
-    reg = model.registers.get(name)
-    if reg is not None:
-        return reg.dtype
-    mem = model.memories.get(name)
-    if mem is not None:
-        return mem.dtype
-    return None
-
-
-def _value_range(value, model):
-    """A proven (lo, hi) range of ``value``, or None when unknown.
-
-    Relies on the state invariant that resources always hold canonical
-    values of their declared type (writers canonicalise).
-    """
-    if isinstance(value, Const):
-        return (value.value, value.value)
-    if isinstance(value, ReadReg):
-        dtype = _resource_dtype(model, value.name)
-        if dtype is not None:
-            return _range_of(dtype.width, dtype.signed)
-        return None
-    if isinstance(value, ReadElem):
-        dtype = _resource_dtype(model, value.resource)
-        if dtype is not None:
-            return _range_of(dtype.width, dtype.signed)
-        return None
-    if isinstance(value, Alu):
-        if value.op in _CMP_OPS or value.op in _BOOL_OPS:
-            return (0, 1)
-        if value.op == "&":
-            for side in (value.left, value.right):
-                if isinstance(side, Const) and side.value >= 0:
-                    return (0, side.value)
-        return None
-    if isinstance(value, Intrinsic) and len(value.args) == 2 and \
-            isinstance(value.args[1], Const):
-        width = value.args[1].value
-        if width >= 1:
-            if value.name == "zext":
-                return (0, (1 << width) - 1)
-            if value.name in ("sext", "sat"):
-                return _range_of(width, True)
-        return None
-    if isinstance(value, Select):
-        left = _value_range(value.if_true, model)
-        right = _value_range(value.if_false, model)
-        if left is not None and right is not None:
-            return (min(left[0], right[0]), max(left[1], right[1]))
-        return None
-    return None
-
-
 def coalesce_canonicalisation(func, model, stats):
     """Drop write canonicalisation the value provably does not need.
 
-    A write whose value is already canonical for the declared width
-    (a same-typed resource read, a ``zext``/``sext``/``sat`` of a
-    narrower width, a 0/1 comparison result, a masked value, or a
-    constant folded to canonical form) becomes a raw store.
+    A constant store is folded to canonical form at compile time; any
+    other write the abstract interpreter proves already canonical for
+    its declared width (:func:`repro.analysis.absint.canonical_stores`)
+    becomes a raw store.
     """
+    from repro.analysis.absint import canonical_stores  # absint imports ir
+
+    canonical = canonical_stores(func, model)
 
     def rewrite(op):
         if isinstance(op, (WriteReg, WriteElem)) and op.width is not None:
             if isinstance(op.value, Const):
-                stats.bump("canon_coalesced")
-                folded = Const(canonicalize(op.value.value, op.width,
-                                            op.signed))
-                if isinstance(op, WriteReg):
-                    return WriteReg(op.name, folded, None, False,
-                                    op.augmented)
-                return WriteElem(op.resource, op.index, folded, None,
-                                 False, op.augmented)
-            value_range = _value_range(op.value, model)
-            if value_range is not None and _range_fits(
-                value_range, _range_of(op.width, op.signed)
-            ):
-                stats.bump("canon_coalesced")
-                if isinstance(op, WriteReg):
-                    return WriteReg(op.name, op.value, None, False,
-                                    op.augmented)
-                return WriteElem(op.resource, op.index, op.value, None,
-                                 False, op.augmented)
-            return op
+                value = Const(canonicalize(op.value.value, op.width,
+                                           op.signed))
+            elif id(op) in canonical:
+                value = op.value
+            else:
+                return op
+            stats.bump("canon_coalesced")
+            if isinstance(op, WriteReg):
+                return WriteReg(op.name, value, None, False, op.augmented)
+            return WriteElem(op.resource, op.index, value, None, False,
+                             op.augmented)
         if isinstance(op, Guard):
             return Guard(op.cond,
                          tuple(rewrite(o) for o in op.then_ops),
@@ -958,8 +890,9 @@ def _cells_touch(cell_a, cell_b):
     return cell_a[1] == cell_b[1] or cell_a[1] == "*" or cell_b[1] == "*"
 
 
-def eliminate_dead_writes(func, model, stats):
-    """Remove writes whose stored value can never be observed.
+def dead_writes(ops):
+    """Yield ``(index, trap_free)`` for every write in ``ops`` whose
+    stored value can never be observed.
 
     Within one linear micro-op sequence (a per-stage function, or a
     statically scheduled column where several instructions' ops run
@@ -968,31 +901,32 @@ def eliminate_dead_writes(func, model, stats):
     reading op in between -- is dead.  A behaviour-local write never
     read before the end of the sequence (locals do not survive the
     function) or before an unconditional overwrite is likewise dead.
-    Only trap-free values are elided, preserving fault parity with the
-    unoptimised form.
+    ``trap_free`` says whether evaluating the write can never fault,
+    i.e. whether removing it preserves trap behaviour.
     """
-    ops = list(func.ops)
-    keep = [True] * len(ops)
+    ops = list(ops)
+    reads = [None] * len(ops)  # _op_reads per op, computed on demand
     for i, op in enumerate(ops):
         cell = None
         local_name = None
         if isinstance(op, (WriteReg, WriteElem)):
             cell = write_cell(op)
-            if cell is None or cell[1] == "*":
+            if cell[1] == "*":
                 continue  # computed index: never provably dead
-            if not _trap_free(op.value):
-                continue
-            if isinstance(op, WriteElem) and not _trap_free(op.index):
-                continue
+            trap_free = _trap_free(op.value) and (
+                isinstance(op, WriteReg) or _trap_free(op.index)
+            )
         elif isinstance(op, WriteLocal):
             local_name = op.name
-            if not _trap_free(op.value):
-                continue
+            trap_free = _trap_free(op.value)
         else:
             continue
         dead = None
-        for later in ops[i + 1:]:
-            later_cells, later_locals = _op_reads(later)
+        for j in range(i + 1, len(ops)):
+            later = ops[j]
+            if reads[j] is None:
+                reads[j] = _op_reads(later)
+            later_cells, later_locals = reads[j]
             if cell is not None and any(
                 _cells_touch(cell, read) for read in later_cells
             ):
@@ -1022,11 +956,18 @@ def eliminate_dead_writes(func, model, stats):
             # escape; locals die with the function.
             dead = local_name is not None
         if dead:
-            keep[i] = False
-            stats.bump("dead_writes_removed")
-    if not all(keep):
+            yield i, trap_free
+
+
+def eliminate_dead_writes(func, model, stats):
+    """Remove the trap-free writes :func:`dead_writes` finds, preserving
+    fault parity with the unoptimised form (a dead write that may fault
+    is kept; ``repro-lint`` reports it as ``IR003``)."""
+    dead = {i for i, trap_free in dead_writes(func.ops) if trap_free}
+    if dead:
+        stats.bump("dead_writes_removed", len(dead))
         func.ops = tuple(
-            op for op, keep_op in zip(ops, keep) if keep_op
+            op for i, op in enumerate(func.ops) if i not in dead
         )
     return func
 
@@ -1058,8 +999,8 @@ def hoist_helpers(func, model, stats):
 
 DEFAULT_PASSES = (
     fold_constants,
-    coalesce_canonicalisation,
     eliminate_dead_writes,
+    coalesce_canonicalisation,
     hoist_helpers,
 )
 
@@ -1500,8 +1441,8 @@ __all__ = [
     "walk_values", "walk_ops", "op_values", "ops_have_control",
     "read_cells", "write_cell", "value_locals",
     "PassStats", "fold_constants", "coalesce_canonicalisation",
-    "eliminate_dead_writes", "hoist_helpers", "DEFAULT_PASSES",
-    "run_passes", "optimize_column",
+    "dead_writes", "eliminate_dead_writes", "hoist_helpers",
+    "DEFAULT_PASSES", "run_passes", "optimize_column",
     "render_value", "render_ops", "render_function_source",
     "PythonExecBackend", "ModuleBackend",
     "value_to_payload", "value_from_payload", "op_to_payload",

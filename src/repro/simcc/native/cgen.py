@@ -11,9 +11,9 @@ Two jobs live here:
    Packets that fail the proof -- or that write program memory, where
    the self-modifying-code guard must observe every store -- simply
    stay on the Python path; the burst driver hands control back
-   whenever the next fetch would enter one.  The same proofs let the
-   renderer drop canonicalisation masks from stores whose value is
-   provably canonical already.
+   whenever the next fetch would enter one.  Stores the same analysis
+   proves canonical already reach the renderer as raw stores
+   (``width=None``, via the pass pipeline), so they render unmasked.
 
 2. **Code generation.**  Each native packet's per-stage IR lowers to a
    ``static void f_<pc>_<stage>(int64_t *S)`` over the flat
@@ -34,7 +34,7 @@ re-raises the matching exception type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis import absint
 from repro.simcc import ir
@@ -97,12 +97,6 @@ class _CRenderer:
     def __init__(self, model, state_layout):
         self._model = model
         self._layout = state_layout
-        self._raw_stores: FrozenSet[int] = frozenset()
-
-    def set_raw_stores(self, raw_stores):
-        """Install the current packet's proof of already-canonical
-        stores (ids of write ops whose mask/sign-fold may be elided)."""
-        self._raw_stores = raw_stores
 
     def value(self, value):
         if isinstance(value, ir.Const):
@@ -174,10 +168,9 @@ class _CRenderer:
 
     def _store_value(self, op):
         source = self.value(op.value)
-        if op.width is None or id(op) in self._raw_stores:
-            # Either the pass pipeline or the abstract interpreter
-            # proved the value canonical for the declared dtype; the
-            # mask/sign-fold would be a no-op.
+        if op.width is None:
+            # The pass pipeline proved the value canonical for the
+            # declared dtype; the mask/sign-fold would be a no-op.
             return source
         if op.signed:
             return "h_cansig(%s, %d)" % (source, op.width)
@@ -683,7 +676,6 @@ def render_native_source(table, model, state_layout, telemetry=False,
         native_pcs.add(pc)
         reads |= info.reads
         writes |= info.writes
-        renderer.set_raw_stores(info.raw_stores)
         per_stage = []
         for stage, funcs in enumerate(funcs_by_stage):
             if not funcs:
@@ -779,7 +771,6 @@ def dump_program_c(model, program, stream=None):
             out.write("\n/* pc=0x%x: python fallback (%s) */\n"
                       % (pc, info.reason))
             continue
-        renderer.set_raw_stores(info.raw_stores)
         out.write("\n/* pc=0x%x: native */\n" % pc)
         for stage, funcs in enumerate(funcs_by_stage):
             if not funcs:

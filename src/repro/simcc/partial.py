@@ -17,7 +17,7 @@ range accordingly, against the original segment limits, so decode,
 packetisation and operation instantiation inside the window reproduce
 the whole-program build exactly.  Only packets starting inside the
 requested window may be spliced into a live table (tail addresses past
-``limit`` can see clipped extents); :func:`window_pcs` names them.
+``limit`` can see clipped extents).
 
 Windowed tables cache like any other (:mod:`repro.simcc.cache`, format
 v6) keyed per (model, program-window, level, window), and concurrent
@@ -40,20 +40,6 @@ def _window_segment(model, program, start, limit):
         if segment.base <= start and limit <= segment.end:
             return segment
     return None
-
-
-def window_pcs(model, program, start, limit):
-    """The packet start addresses of window ``[start, limit)``.
-
-    These are the only addresses a promotion may splice: every address
-    is a legal packet start in the table representation, and each one
-    starting inside the window has its full extent carried by
-    :func:`extract_window_program`.
-    """
-    segment = _window_segment(model, program, start, limit)
-    if segment is None:
-        return ()
-    return tuple(range(start, limit))
 
 
 def extract_window_program(model, program, start, limit):
@@ -130,19 +116,3 @@ def build_window_table(model, program, start, limit, level="instantiated",
         )
     return builder()
 
-
-def bound_window_table(model, program, start, limit, state, control,
-                       level="instantiated", cache=None, jobs=None,
-                       observer=None):
-    """:func:`build_window_table` bound to a state/control pair.
-
-    Returns ``(table, pcs)`` where ``pcs`` are the window's packet
-    start addresses -- the only slots a caller may splice into a live
-    whole-program table.
-    """
-    portable = build_window_table(
-        model, program, start, limit, level=level, cache=cache,
-        jobs=jobs, observer=observer,
-    )
-    table = portable.bind(state, control)
-    return table, window_pcs(model, program, start, limit)

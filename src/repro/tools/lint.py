@@ -18,12 +18,7 @@ past the documented depth limit.
 
 from __future__ import annotations
 
-from repro.analysis.effects import (
-    EffectsAnalyzer,
-    cells_collide as _cells_collide,  # noqa: F401  (compat re-export)
-    classify_lvalue as _classify,  # noqa: F401  (compat re-export)
-    packet_collisions,
-)
+from repro.analysis.effects import EffectsAnalyzer, packet_collisions
 from repro.coding.decoder import InstructionDecoder
 from repro.machine.packets import packet_extent
 from repro.support.errors import DecodeError

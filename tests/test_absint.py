@@ -197,16 +197,17 @@ class TestAnalyzePacket:
 
     def test_canonical_store_is_raw(self, testmodel):
         write = ir.WriteReg("ACC", ir.Const(5), width=16, signed=True)
-        proof = _packet(testmodel, write)
-        assert id(write) in proof.raw_stores
+        func = ir.IRFunction(name="t", ops=(write,))
+        assert absint.canonical_stores(func, testmodel) == {id(write)}
 
     def test_wrapping_store_keeps_its_mask(self, testmodel):
         write = ir.WriteReg(
             "ACC", ir.Alu("*", ir.ReadReg("ACC"), ir.ReadReg("ACC")),
             width=16, signed=True,
         )
+        func = ir.IRFunction(name="t", ops=(write,))
+        assert absint.canonical_stores(func, testmodel) == set()
         proof = _packet(testmodel, write)
-        assert id(write) not in proof.raw_stores
         assert proof.cells["ACC"] == (-32768, 32767)
 
 
@@ -221,10 +222,16 @@ class TestProofPayload:
     def test_round_trip(self, testmodel):
         proof = self._proof(testmodel)
         clone = PacketProof.from_payload(proof.to_payload())
-        # raw_stores is render-time only (compare=False): everything
-        # else must survive.
         assert clone == proof
-        assert clone.raw_stores == frozenset()
+        # A proven-canonical store is not a proof field: the pass
+        # pipeline applies it to the IR (width=None), which persists.
+        masked = ir.Alu("&", ir.ReadReg("ACC"), ir.Const(0xFF))
+        func = ir.run_passes(ir.IRFunction(name="t", ops=(
+            ir.WriteReg("ACC", masked, width=16, signed=True),
+        )), testmodel)
+        clone = ir.function_from_payload(ir.function_to_payload(func))
+        (write,) = clone.ops
+        assert write.width is None and write.value == masked
 
     def test_marshal_compatible(self, testmodel):
         payload = self._proof(testmodel).to_payload()
@@ -360,6 +367,23 @@ def test_native_admission_matches_structure(builder):
             "0x%x: native=%s expected=%s (%s)"
             % (pc, proof.native, expected, proof.reason)
         )
+
+
+@app_matrix
+def test_no_canonical_store_survives_the_pass_pipeline(builder):
+    """The pass pipeline applies every canonical-store proof: no
+    post-pass write still masks a value absint proves in range."""
+    model, program = load_app_program(builder())
+    portable = build_portable_table(model, program, level="instantiated")
+    raw_stores = 0
+    for func in portable.functions:
+        assert absint.canonical_stores(func, model) == set(), func.name
+        raw_stores += sum(
+            1 for op in ir.walk_ops(func.ops)
+            if isinstance(op, (ir.WriteReg, ir.WriteElem))
+            and op.width is None
+        )
+    assert raw_stores  # the rewrite fired
 
 
 @app_matrix

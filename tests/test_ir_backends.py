@@ -284,6 +284,28 @@ class TestPasses:
         assert isinstance(write.value, ir.Const)
         assert write.value.value == -1
 
+    def test_coalesce_canonicalisation_on_proven_range(self, testmodel):
+        """``ACC = (ACC & 0xff) + 1`` stays inside int16 ([1, 256]), as
+        the abstract interpreter proves: the write becomes raw."""
+        value = ir.Alu("+", ir.Alu("&", ir.ReadReg("ACC"), ir.Const(0xFF)),
+                       ir.Const(1))
+        func, stats = self._run(
+            [ir.WriteReg("ACC", value, width=16, signed=True)], testmodel,
+        )
+        (write,) = func.ops
+        assert write.width is None
+        assert write.value == value
+        assert stats.get("canon_coalesced", 0) == 1
+
+    def test_coalesce_keeps_mask_on_possible_overflow(self, testmodel):
+        value = ir.Alu("+", ir.ReadReg("ACC"), ir.Const(1))
+        func, stats = self._run(
+            [ir.WriteReg("ACC", value, width=16, signed=True)], testmodel,
+        )
+        (write,) = func.ops
+        assert (write.width, write.signed) == (16, True)
+        assert stats.get("canon_coalesced", 0) == 0
+
     def test_dead_local_write_eliminated(self, testmodel):
         func, stats = self._run(
             [ir.WriteLocal("unused", ir.Const(7)),

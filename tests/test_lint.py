@@ -93,28 +93,43 @@ class TestPacketLint:
         assert program.lint_warnings == []
 
 
+def _testmodel_with(name, behaviour):
+    """The test model plus one EX-stage instruction ``name src`` whose
+    body is ``behaviour``."""
+    from tests.conftest import TESTMODEL_SOURCE
+
+    return TESTMODEL_SOURCE.replace(
+        "nop || add || ldi || st || brnz",
+        "nop || add || ldi || st || %s || brnz" % name,
+    ).replace(
+        "OPERATION brnz IN pipe.EX {",
+        """OPERATION %s IN pipe.EX {
+    DECLARE { GROUP src = { reg }; }
+    CODING { 0b0110 src 0bxxxxxxxx }
+    SYNTAX { "%s" src }
+    BEHAVIOR { %s }
+}
+
+OPERATION brnz IN pipe.EX {""" % (name, name, behaviour),
+        1,
+    )
+
+
 # A testmodel variant with a ``bad`` instruction whose behaviour stores
 # to a constant out-of-range data-memory index: the abstract interpreter
 # proves the store always faults, so linting a program that uses it
 # exercises the ``ir.trap`` (IR002) diagnostic end to end.
 def _trap_capable_source():
-    from tests.conftest import TESTMODEL_SOURCE
+    return _testmodel_with("bad", "dmem[100] = src;")
 
-    return TESTMODEL_SOURCE.replace(
-        "nop || add || ldi || st || brnz",
-        "nop || add || ldi || st || bad || brnz",
-    ).replace(
-        "OPERATION brnz IN pipe.EX {",
-        """OPERATION bad IN pipe.EX {
-    DECLARE { GROUP src = { reg }; }
-    CODING { 0b0110 src 0bxxxxxxxx }
-    SYNTAX { "bad" src }
-    BEHAVIOR { dmem[100] = src; }
-}
 
-OPERATION brnz IN pipe.EX {""",
-        1,
-    )
+# A testmodel variant whose ``waste`` instruction writes ACC three times:
+# the middle write is dead and trap-free (dead-write elimination removes
+# it), the first is dead but divides by a register, which may fault, so
+# it must survive elimination and is reported as ``ir.dead-write``
+# (IR003).
+def _dead_write_source():
+    return _testmodel_with("waste", "ACC = 100 / src; ACC = 1; ACC = 0;")
 
 
 class TestDiagnosticCodes:
@@ -222,6 +237,27 @@ class TestDiagnosticCodes:
         )
         capsys.readouterr()
         assert exit_code == 1
+
+    def test_surviving_dead_write_gets_ir003(self):
+        from repro.analysis import analyze_program
+        from repro.api import build_toolset
+        from repro.lisa.semantics import compile_source
+
+        model = compile_source(_dead_write_source(), "deadmodel.lisa")
+        program = build_toolset(model).assembler.assemble_text(
+            "ldi r1, 5\nwaste r1\nhalt\n", name="dead"
+        )
+        result = analyze_program(model, program)
+        dead = [f for f in result.report if f.check == "ir.dead-write"]
+        # Only the faulting write survives; the trap-free one is gone.
+        assert len(dead) == 1, [str(f) for f in result.report]
+        finding = dead[0]
+        assert finding.code == "IR003"
+        assert finding.severity == "note"
+        assert finding.address == 1
+        assert "dead write to ACC" in finding.message
+        assert "may fault" in finding.message
+        assert not [f for f in result.report if f.check == "ir.trap"]
 
     def test_clean_program_has_no_coded_findings(
         self, testmodel, testmodel_tools

@@ -805,14 +805,59 @@ class TestWindowedEntries:
                 testmodel, patch, "instantiated", builder, window=(0, 5)
             )
 
+        # Count passes through the flight registry: once all four
+        # flights have looked up their lock, the winner is blocked in
+        # builder() and the other three are queued behind it.
+        registered = threading.Semaphore(0)
+
+        class CountingMutex:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __enter__(self):
+                self._inner.acquire()
+
+            def __exit__(self, *exc):
+                self._inner.release()
+                registered.release()
+
+        cache._flights_mutex = CountingMutex(threading.Lock())
         flights = [threading.Thread(target=flight) for _ in range(4)]
         for thread in flights:
             thread.start()
+        for _ in flights:
+            assert registered.acquire(timeout=60)
         gate.set()
         for thread in flights:
             thread.join(timeout=60)
         assert len(built) == 1
-        assert cache.stats["single_flight_waits"] >= 1
+        assert cache.stats["single_flight_waits"] == 3
+        assert cache.stats["stores"] == 1
+
+    def test_late_flight_rechecks_cache(self, testmodel, program, cache,
+                                        monkeypatch):
+        """A flight whose first lookup missed just before the winner
+        published (and released its lock) must not build again."""
+        from repro.simcc.partial import extract_window_program
+
+        patch = extract_window_program(testmodel, program, 0, 5)
+        built = []
+
+        def builder():
+            built.append(1)
+            return build_portable_table(testmodel, patch, "instantiated")
+
+        first = cache.load_or_build_portable(
+            testmodel, patch, "instantiated", builder, window=(0, 5)
+        )
+        # Replay the race: the late flight's first lookup misses.
+        monkeypatch.setattr(cache, "load_portable",
+                            lambda *args, **kwargs: None)
+        late = cache.load_or_build_portable(
+            testmodel, patch, "instantiated", builder, window=(0, 5)
+        )
+        assert len(built) == 1
+        assert late is first
         assert cache.stats["stores"] == 1
 
     def test_racing_processes_leave_coherent_windowed_entry(
