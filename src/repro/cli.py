@@ -11,13 +11,12 @@
 ``repro-lint``
     Static analysis of an assembled program (packet collisions,
     control-flow defects, cross-cycle pipeline hazards).
-``repro-trace``
-    Run a program fully instrumented and export the trace (Chrome
-    trace-event format for Perfetto, JSON-lines, OpenMetrics, or a
-    text summary) plus the metrics snapshot.
-``repro-profile``
-    Run a program in profile mode (native bursts stay enabled) and
-    emit the profile-guided hot-region report as JSON.
+
+``repro-sim`` and ``repro-lint`` share the observed-run flags:
+``--trace`` exports the trace (Chrome trace-event format for Perfetto,
+JSON-lines, OpenMetrics, or a text summary), ``--metrics-out`` the
+metrics snapshot and ``--profile-out`` the profile-guided hot-region
+report.
 
 Every command that compiles a model prints the model's compile
 diagnostics to stderr; ``--Werror`` turns diagnosed warnings into a
@@ -126,21 +125,18 @@ def _make_observer(args, model, program):
     """An observer when any trace/metrics output was requested."""
     from repro import obs
 
-    wants = (args.trace or args.metrics_out
-             or getattr(args, "profile_out", None)
-             or getattr(args, "flight_recorder", None) is not None
-             or getattr(args, "observe", None))
+    wants = (args.trace or args.metrics_out or args.profile_out
+             or args.flight_recorder is not None or args.observe)
     if not wants:
         return None
-    mode = getattr(args, "observe", None)
+    mode = args.observe
     if mode is None:
         mode = obs.TRACE_MODE if args.trace else obs.PROFILE_MODE
     observer = obs.Observer(
         labeler=obs.opcode_labeler(model, program), mode=mode,
     )
-    capacity = getattr(args, "flight_recorder", None)
-    if capacity is not None:
-        observer.enable_flight_recorder(capacity)
+    if args.flight_recorder is not None:
+        observer.enable_flight_recorder(args.flight_recorder)
     return observer
 
 
@@ -158,13 +154,12 @@ def _write_observer_outputs(observer, args, process_name):
     if args.metrics_out:
         obs.write_metrics(observer, args.metrics_out)
         print("wrote %s" % args.metrics_out, file=sys.stderr)
-    profile_out = getattr(args, "profile_out", None)
-    if profile_out:
+    if args.profile_out:
         report = obs.hot_region_report(observer)
-        with open(profile_out, "w", encoding="utf-8") as handle:
+        with open(args.profile_out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print("wrote %s" % profile_out, file=sys.stderr)
+        print("wrote %s" % args.profile_out, file=sys.stderr)
     observer.close()
 
 
@@ -545,202 +540,6 @@ def sim_main(argv=None):
         _write_observer_outputs(observer, args, "repro-sim")
         for dump in args.dump:
             _dump_memory(simulator.state, dump)
-    except ReproError as exc:
-        parser.exit(1, "error: %s\n" % exc)
-    return 0
-
-
-def trace_main(argv=None):
-    """repro-trace: run a program fully instrumented; export the trace.
-
-    The default output is Chrome trace-event JSON: load it in Perfetto
-    (https://ui.perfetto.dev) or ``chrome://tracing`` to see the
-    simulation-compilation phase spans above the per-cycle event
-    stream.  ``--format summary`` writes the human-readable report
-    instead, and ``--print-summary`` additionally prints it to stdout.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro-trace",
-        description="Run a target program with full instrumentation "
-        "(trace events, compile-phase spans, metrics) and export the "
-        "trace.",
-    )
-    parser.add_argument("model", help="model name or .lisa path")
-    parser.add_argument("program", help="object file (.dspo) or assembly "
-                        "source (.asm/.s)")
-    parser.add_argument(
-        "-k", "--kind", default="compiled", choices=SIM_KINDS,
-        help="simulator kind (default: compiled)",
-    )
-    parser.add_argument(
-        "-o", "--output", default="trace.json", metavar="PATH",
-        help="trace file to write (default: trace.json)",
-    )
-    parser.add_argument(
-        "--max-cycles", type=int, default=50_000_000,
-        help="abort after this many cycles",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="PATH",
-        help="also write the metrics snapshot as JSON to PATH",
-    )
-    parser.add_argument(
-        "--print-summary", action="store_true",
-        help="print the text summary to stdout after the run",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help="parallelise simulation compilation over N workers "
-        "(-1 = one per CPU)",
-    )
-    _add_werror(parser)
-    # Reuse the shared writer: --format doubles as --trace-format.
-    from repro.obs import TRACE_FORMATS
-
-    parser.add_argument(
-        "--format", dest="trace_format", choices=TRACE_FORMATS,
-        default="chrome",
-        help="trace file format (default: chrome, for Perfetto)",
-    )
-    args = parser.parse_args(argv)
-    args.trace = args.output
-    try:
-        from repro import obs
-
-        model = _resolve_model(args.model)
-        _print_model_diagnostics(parser, model, args.werror)
-        program = _load_program(model, args.program)
-        observer = obs.Observer(
-            labeler=obs.opcode_labeler(model, program)
-        )
-        simulator = create_simulator(model, args.kind, jobs=args.jobs,
-                                     observer=observer)
-        simulator.load_program(program)
-        stats = simulator.run(args.max_cycles)
-        print(
-            "halted after %d cycles, %d instructions (CPI %.2f)"
-            % (stats.cycles, stats.instructions, stats.cpi)
-        )
-        print(
-            "recorded %d events, %d spans"
-            % (len(observer.events or ()), len(observer.spans))
-        )
-        if args.print_summary:
-            print(obs.text_summary(observer))
-        _write_observer_outputs(observer, args, "repro-trace")
-    except ReproError as exc:
-        parser.exit(1, "error: %s\n" % exc)
-    return 0
-
-
-def profile_main(argv=None):
-    """repro-profile: run in profile mode; emit the hot-region report.
-
-    The observer runs in ``profile`` mode, so on the native backend the
-    compiled bursts stay enabled (the telemetry side-buffer keeps the
-    per-packet counters) -- profiling at native speed.  The report
-    ranks packets and contiguous hot windows by attributed cycles; see
-    :func:`repro.obs.profile.hot_region_report` for the schema.
-    """
-    from repro.obs.profile import DEFAULT_HOT_SHARE
-
-    parser = argparse.ArgumentParser(
-        prog="repro-profile",
-        description="Run a target program with per-packet cycle "
-        "attribution (native bursts stay enabled) and write the "
-        "profile-guided hot-region report as JSON.",
-    )
-    parser.add_argument("model", help="model name or .lisa path")
-    parser.add_argument("program", help="object file (.dspo) or assembly "
-                        "source (.asm/.s)")
-    parser.add_argument(
-        "-k", "--kind", default="compiled", choices=SIM_KINDS,
-        help="simulator kind (default: compiled)",
-    )
-    parser.add_argument(
-        "--backend", default="auto", choices=SIM_BACKENDS,
-        help="execution backend for the table-based kinds "
-        "(default: auto)",
-    )
-    parser.add_argument(
-        "-o", "--output", default="profile.json", metavar="PATH",
-        help="report file to write (default: profile.json); '-' writes "
-        "to stdout",
-    )
-    parser.add_argument(
-        "--top", type=int, default=None, metavar="N",
-        help="truncate the packet ranking to the N hottest packets "
-        "(windows still consider every hot packet)",
-    )
-    parser.add_argument(
-        "--hot-share", type=float, default=DEFAULT_HOT_SHARE,
-        metavar="FRAC",
-        help="minimum cycle share for a packet to seed a hot window "
-        "(default: %g)" % DEFAULT_HOT_SHARE,
-    )
-    parser.add_argument(
-        "--max-cycles", type=int, default=50_000_000,
-        help="abort after this many cycles",
-    )
-    parser.add_argument(
-        "--print-summary", action="store_true",
-        help="print the hottest packets and windows to stderr",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help="parallelise simulation compilation over N workers "
-        "(-1 = one per CPU)",
-    )
-    _add_werror(parser)
-    args = parser.parse_args(argv)
-    try:
-        from repro import obs
-
-        model = _resolve_model(args.model)
-        _print_model_diagnostics(parser, model, args.werror)
-        program = _load_program(model, args.program)
-        observer = obs.Observer(
-            labeler=obs.opcode_labeler(model, program),
-            mode=obs.PROFILE_MODE,
-        )
-        simulator = create_simulator(
-            model, args.kind, jobs=args.jobs, observer=observer,
-            backend=args.backend,
-        )
-        simulator.load_program(program)
-        stats = simulator.run(args.max_cycles)
-        print(
-            "halted after %d cycles, %d instructions (CPI %.2f)"
-            % (stats.cycles, stats.instructions, stats.cpi),
-            file=sys.stderr,
-        )
-        report = obs.hot_region_report(
-            observer, top=args.top, hot_share=args.hot_share
-        )
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print("wrote %s" % args.output, file=sys.stderr)
-        if args.print_summary:
-            for entry in report["packets"][:10]:
-                print(
-                    "  %10d cycles  %5.1f%%  %s%s"
-                    % (entry["cycles"], 100.0 * entry["share"],
-                       entry["pc_hex"],
-                       "  " + entry["label"] if entry["label"] else ""),
-                    file=sys.stderr,
-                )
-            for window in report["windows"]:
-                print(
-                    "  window %s..%s  %d packets  %5.1f%%"
-                    % (window["start_hex"], window["end_hex"],
-                       window["packets"], 100.0 * window["share"]),
-                    file=sys.stderr,
-                )
-        observer.close()
     except ReproError as exc:
         parser.exit(1, "error: %s\n" % exc)
     return 0

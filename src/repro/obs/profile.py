@@ -5,10 +5,11 @@ into a stable, JSON-compatible ranking of where simulated time went:
 per-packet attributed cycles (``sim.cycles_by_pc``, maintained by
 trace/profile-mode observers on every backend -- the Python loops
 attribute inline, native bursts flush their telemetry side-buffer) and
-contiguous hot windows grouped from them.  The report is the input a
-tiered-execution pass consumes to decide which regions earn the most
-aggressive backend, and what ``repro-profile`` / ``repro-sim
---profile-out`` serialise.
+contiguous hot windows grouped from them.  It is the only reader of
+an observer's profile counters: :class:`repro.sim.tiering.TierManager`
+ranks it to decide which regions earn the most aggressive backend,
+``repro-sim --profile-out`` serialises it, and
+:class:`repro.tools.profiler.Profiler` is a typed view of it.
 
 Counters-mode observers skip cycle attribution; for them the report
 falls back to ranking by raw fetch counts and says so in ``basis``.
@@ -17,8 +18,8 @@ falls back to ranking by raw fetch counts and says so in ``basis``.
 from __future__ import annotations
 
 #: Report schema version; bump on any shape change so downstream
-#: consumers (the future tiered-execution pass) can gate on it.
-REPORT_VERSION = 1
+#: consumers can gate on it.
+REPORT_VERSION = 2
 
 #: A packet must own at least this share of attributed cycles to seed a
 #: hot window.
@@ -29,17 +30,21 @@ DEFAULT_HOT_SHARE = 0.01
 DEFAULT_MAX_GAP = 4
 
 
-def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,
+def hot_region_report(observer, hot_share=DEFAULT_HOT_SHARE,
                       max_gap=DEFAULT_MAX_GAP, extents=None):
     """Rank packets and contiguous windows by attributed cycles.
 
     Returns a JSON-compatible dict::
 
         {
-          "version": 1,
+          "version": 2,
           "basis": "attributed_cycles" | "fetch_counts",
           "total_cycles": <int>,
-          "run": {"kind": ..., "cycles": ..., "instructions": ...},
+          "run": {"kind": ..., "cycles": ..., "instructions": ...,
+                  "issue_cycles": int, "bubble_cycles": int,
+                  "instructions_issued": int, "squashed_slots": int,
+                  "bubbles_by_reason": {reason: cycles},
+                  "packet_sizes": {size: packets}},
           "packets": [
             {"pc": int, "pc_hex": "0x..", "cycles": int, "fetches": int,
              "share": float, "label": str|None},
@@ -53,10 +58,9 @@ def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,
           ],
         }
 
-    ``top`` truncates the packet ranking (windows always consider every
-    hot packet); ``hot_share`` is the minimum cycle share for a packet
-    to seed a window; ``max_gap`` is the maximum address gap between
-    hot packets merged into one window.
+    ``hot_share`` is the minimum cycle share for a packet to seed a
+    window; ``max_gap`` is the maximum address gap between hot packets
+    merged into one window.
 
     ``extents`` optionally maps each packet start to the program words
     the packet spans (``{pc: words}``, e.g. built from a simulation
@@ -103,7 +107,7 @@ def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,
                              extents=extents)
 
     gauges = metrics.gauges
-    report = {
+    return {
         "version": REPORT_VERSION,
         "basis": basis,
         "total_cycles": total,
@@ -111,11 +115,16 @@ def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,
             "kind": gauges.get("run.kind"),
             "cycles": gauges.get("run.cycles"),
             "instructions": gauges.get("run.instructions"),
+            "issue_cycles": metrics.counter("sim.issue_cycles"),
+            "bubble_cycles": metrics.counter("sim.bubble_cycles"),
+            "instructions_issued": metrics.counter("sim.instructions_issued"),
+            "squashed_slots": metrics.counter("sim.squashed_slots"),
+            "bubbles_by_reason": dict(metrics.family("sim.bubbles_by_reason")),
+            "packet_sizes": dict(metrics.family("sim.packet_sizes")),
         },
-        "packets": packets[:top] if top is not None else packets,
+        "packets": packets,
         "windows": windows,
     }
-    return report
 
 
 def _group_windows(weights, total, hot_share, max_gap, extents=None):

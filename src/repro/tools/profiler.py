@@ -5,19 +5,21 @@ execute-packet statistics, bubble-cycle attribution and a
 source-annotated hot-spot listing -- the kind of feedback loop
 (simulate, profile, re-schedule) that DSP software development lives on.
 
-The profiler is a thin consumer of :mod:`repro.obs`: it attaches a
-metrics-only :class:`repro.obs.Observer` (``record=False``, so no event
-list grows during the run) and reads the registry afterwards.  Because
-the statically scheduled engines emit the same per-cycle hooks as the
-per-fetch kinds, profiling now works on *every* simulator kind --
-including ``static`` and ``unfolded_static``, which the old front-end
-wrapper could not see into.
+The profiler is a typed view of :func:`repro.obs.hot_region_report`:
+it attaches a profile-mode :class:`repro.obs.Observer` (``record=False``,
+so no event list grows during the run, and native bursts stay enabled)
+and reshapes the report afterwards.  Because the statically scheduled
+engines emit the same per-cycle hooks as the per-fetch kinds, profiling
+works on *every* simulator kind -- including ``static`` and
+``unfolded_static``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict
+
+from repro.obs import PROFILE_MODE, Observer, hot_region_report
 
 
 @dataclass
@@ -70,7 +72,7 @@ class ProfileReport:
 
 
 class Profiler:
-    """Attaches a metrics-only observer to a simulator.
+    """Attaches a profile-mode observer to a simulator.
 
     Usage::
 
@@ -87,10 +89,8 @@ class Profiler:
     """
 
     def __init__(self, simulator):
-        from repro.obs import Observer
-
         self._simulator = simulator
-        self._observer = Observer(record=False)
+        self._observer = Observer(record=False, mode=PROFILE_MODE)
         simulator.attach_observer(self._observer)
 
     @property
@@ -108,20 +108,22 @@ class Profiler:
         given (matching ``simulator.cycles`` exactly), otherwise from
         the issue/bubble counters.
         """
-        metrics = observer.metrics
-        issue = metrics.counter("sim.issue_cycles")
-        bubble = metrics.counter("sim.bubble_cycles")
+        report = hot_region_report(observer)
+        run = report["run"]
         if simulator is not None and simulator.program is not None:
             total = simulator.engine.cycles
         else:
-            total = issue + bubble
+            total = run["issue_cycles"] + run["bubble_cycles"]
         return ProfileReport(
-            fetch_counts=dict(metrics.family("sim.fetch_by_pc")),
-            issue_cycles=issue,
-            bubble_cycles=bubble,
+            fetch_counts={
+                packet["pc"]: packet["fetches"]
+                for packet in report["packets"] if packet["fetches"]
+            },
+            issue_cycles=run["issue_cycles"],
+            bubble_cycles=run["bubble_cycles"],
             total_cycles=total,
-            instructions_issued=metrics.counter("sim.instructions_issued"),
-            squashed_slots=metrics.counter("sim.squashed_slots"),
-            bubbles_by_reason=dict(metrics.family("sim.bubbles_by_reason")),
-            packet_sizes=dict(metrics.family("sim.packet_sizes")),
+            instructions_issued=run["instructions_issued"],
+            squashed_slots=run["squashed_slots"],
+            bubbles_by_reason=run["bubbles_by_reason"],
+            packet_sizes=run["packet_sizes"],
         )

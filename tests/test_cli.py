@@ -1,9 +1,16 @@
 """Tests for the command-line entry points."""
 
+import json
+
 import pytest
 
 from repro.cli import asm_main, lisa_main, sim_main
+from repro.simcc.native import native_available
 from tests.conftest import TESTMODEL_SOURCE
+
+needs_cc = pytest.mark.skipif(
+    not native_available(), reason="no usable C compiler on the host"
+)
 
 ASM_SOURCE = """
         .entry start
@@ -120,6 +127,45 @@ class TestSimMain:
         path.write_text(app.source)
         assert sim_main(["tinydsp", str(path)]) == 0
         assert "halted" in capsys.readouterr().out
+
+
+class TestObservedRun:
+    """The observed-run outputs of ``repro-sim`` (profile report and
+    trace summary) on the c62x FIR kernel."""
+
+    @pytest.fixture(scope="class")
+    def fir_object(self, tmp_path_factory):
+        from repro.api import build_toolset, load_model
+        from repro.apps import build_fir
+
+        path = str(tmp_path_factory.mktemp("fir") / "fir.dspo")
+        build_fir().assemble(build_toolset(load_model("c62x"))).save(path)
+        return path
+
+    @pytest.mark.parametrize("kind, backend", [
+        ("compiled", "python"),
+        pytest.param("unfolded_static", "native", marks=needs_cc),
+    ])
+    def test_profile_out(self, capsys, tmp_path, fir_object, kind,
+                         backend):
+        out = str(tmp_path / "profile.json")
+        assert sim_main(["c62x", fir_object, "-k", kind,
+                         "--backend", backend, "--profile-out", out]) == 0
+        capsys.readouterr()
+        with open(out, encoding="utf-8") as handle:
+            report = json.load(handle)
+        assert report["version"] == 2
+        assert report["basis"] == "attributed_cycles"
+        assert report["packets"] and report["windows"]
+        total = sum(packet["cycles"] for packet in report["packets"])
+        assert total == report["total_cycles"] == report["run"]["cycles"]
+
+    def test_trace_summary(self, capsys, tmp_path, fir_object):
+        out = tmp_path / "summary.txt"
+        assert sim_main(["c62x", fir_object, "--trace", str(out),
+                         "--trace-format", "summary"]) == 0
+        capsys.readouterr()
+        assert "sim.issue_cycles" in out.read_text()
 
 
 class TestKccMain:

@@ -4,8 +4,16 @@ import math
 
 import pytest
 
+from repro.apps import build_fir
+from repro.bench import load_app_program
+from repro.obs import Observer
 from repro.sim import create_simulator
-from repro.tools.profiler import Profiler
+from repro.simcc.native import native_available
+from repro.tools.profiler import Profiler, ProfileReport
+
+needs_cc = pytest.mark.skipif(
+    not native_available(), reason="no usable C compiler on the host"
+)
 
 
 SOURCE = """
@@ -18,6 +26,21 @@ loop:   add r3, r3, r1
         st r3, 0
         halt
 """
+
+
+def _report_from_metrics(metrics, total_cycles):
+    """A :class:`ProfileReport` read straight off an observer's
+    registry -- the reference the profiler's view must reproduce."""
+    return ProfileReport(
+        fetch_counts=dict(metrics.family("sim.fetch_by_pc")),
+        issue_cycles=metrics.counter("sim.issue_cycles"),
+        bubble_cycles=metrics.counter("sim.bubble_cycles"),
+        total_cycles=total_cycles,
+        instructions_issued=metrics.counter("sim.instructions_issued"),
+        squashed_slots=metrics.counter("sim.squashed_slots"),
+        bubbles_by_reason=dict(metrics.family("sim.bubbles_by_reason")),
+        packet_sizes=dict(metrics.family("sim.packet_sizes")),
+    )
 
 
 @pytest.fixture
@@ -80,17 +103,28 @@ class TestProfiler:
         report = profiler.report()
         assert report.issue_cycles > 0
 
+    @pytest.mark.parametrize(
+        "kind", ["interpretive", "compiled", "static", "unfolded_static"]
+    )
     def test_static_kind_profiles_identically(self, testmodel,
-                                              testmodel_tools, profiled):
+                                              testmodel_tools, profiled,
+                                              kind):
         compiled_report, program, _ = profiled
-        simulator = create_simulator(testmodel, "static")
+        reference_sim = create_simulator(testmodel, kind)
+        reference_sim.load_program(program)
+        reference = Observer()  # trace mode: the per-cycle reference
+        reference_sim.attach_observer(reference)
+        reference_sim.run(max_cycles=10_000)
+        expected = _report_from_metrics(reference.metrics,
+                                        reference_sim.cycles)
+
+        simulator = create_simulator(testmodel, kind)
         simulator.load_program(program)
         profiler = Profiler(simulator)
         simulator.run(max_cycles=10_000)
         report = profiler.report()
-        assert report.fetch_counts == compiled_report.fetch_counts
-        assert report.issue_cycles == compiled_report.issue_cycles
-        assert report.bubble_cycles == compiled_report.bubble_cycles
+        assert report == expected
+        assert report == compiled_report
         assert report.total_cycles == simulator.cycles
 
     def test_bubble_attribution(self, profiled):
@@ -107,3 +141,25 @@ class TestProfiler:
         ) == report.instructions_issued
         assert not math.isnan(report.mean_packet_size)
         assert report.mean_packet_size >= 1.0
+
+
+@needs_cc
+def test_native_bursts_stay_on_under_the_profiler():
+    """Attaching a profiler must not force a native-backend simulator
+    onto the per-cycle Python path: the profile is served by the burst
+    telemetry flush and matches the Python backend's exactly."""
+    model, program = load_app_program(build_fir("c62x"))
+
+    def profiled_run(backend):
+        simulator = create_simulator(model, "unfolded_static",
+                                     backend=backend)
+        profiler = Profiler(simulator)
+        simulator.load_program(program)
+        simulator.run()
+        return simulator, profiler.report()
+
+    native_sim, native_report = profiled_run("native")
+    _, python_report = profiled_run("python")
+    assert native_sim.engine.dispatch_counts["native_cycles"] > 0
+    assert native_report == python_report
+    assert native_report.total_cycles == native_sim.cycles
