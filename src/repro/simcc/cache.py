@@ -36,6 +36,7 @@ import hashlib
 import json
 import marshal
 import os
+import shutil
 import sys
 import tempfile
 import threading
@@ -345,17 +346,30 @@ class SimulationCache:
         """Build and publish a native artifact under ``key``.
 
         ``compile_fn(c_path, so_path)`` performs the actual compile.
-        The metadata file is written last (atomically), so a crashed
-        build can never be mistaken for a valid artifact.
+        It runs in a private build directory inside the artifact
+        directory: ``c_path`` holds ``source`` there, and anything else
+        the build writes (unit sources, objects) belongs there too.  The
+        source and shared object are published by atomic rename and the
+        build directory is removed, so concurrent builders of one key
+        (service workers sharing a cache, a tiering thread and the main
+        thread) never write each other's files.  The metadata file is
+        written last (atomically), so a crashed build can never be
+        mistaken for a valid artifact.
         """
         c_path, so_path, meta_path = self._native_paths(key)
         directory = os.path.dirname(c_path)
         os.makedirs(directory, exist_ok=True)
-        with open(c_path, "w", encoding="utf-8") as handle:
-            handle.write(source)
-        tmp_so = so_path + ".tmp"
-        compile_fn(c_path, tmp_so)
-        os.replace(tmp_so, so_path)
+        workdir = tempfile.mkdtemp(dir=directory, prefix=".build-")
+        try:
+            build_c = os.path.join(workdir, os.path.basename(c_path))
+            build_so = os.path.join(workdir, os.path.basename(so_path))
+            with open(build_c, "w", encoding="utf-8") as handle:
+                handle.write(source)
+            compile_fn(build_c, build_so)
+            os.replace(build_c, c_path)
+            os.replace(build_so, so_path)
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
         meta = {
             "format": FORMAT_VERSION,
             "compiler": compiler_id,

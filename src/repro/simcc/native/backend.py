@@ -7,12 +7,20 @@ load error -- degrades to ``None`` with a single ``native.fallback``
 observability event, and the caller serves the run through the Python
 module backend instead.
 
-Artifacts (the generated ``.c``, the built ``.so`` and a metadata
-sidecar) persist through :class:`repro.simcc.cache.SimulationCache`
-keyed by a digest of the C source plus the state-layout contract; the
-compiler identity lives in the metadata so a shared object built by a
-stale compiler misses and is rebuilt rather than loaded.  Without a
-cache the build lands in a private temporary directory.
+A module is rendered as several translation units (a driver unit plus
+units of deduplicated stage functions, see
+:func:`repro.simcc.native.cgen.render_native_source`); the unit files
+are written into the build directory and
+:func:`repro.simcc.native.toolchain.compile_shared` compiles them
+concurrently and links one shared object.
+
+Artifacts (the generated ``.c`` -- the units concatenated --, the built
+``.so`` and a metadata sidecar) persist through
+:class:`repro.simcc.cache.SimulationCache` keyed by a digest of the C
+source plus the state-layout contract; the compiler identity lives in
+the metadata so a shared object built by a stale compiler misses and
+is rebuilt rather than loaded.  Without a cache the build runs in a
+private temporary directory that is removed once the module is loaded.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ class NativeModule:
 
     ``telemetry`` is the side-region geometry when the module was built
     instrumented (``build_native_module(..., telemetry=True)``), None
-    for the plain byte-identical-to-before module.
+    for the plain byte-identical-to-before module.  ``so_path`` is the
+    cached artifact, or None for a module built without a cache (its
+    build directory is gone once it is loaded).
     """
 
     def __init__(self, layout, plan, burst, loader, so_path, source):
@@ -65,6 +75,39 @@ def _fallback(observer, reason, **args):
     if observer is not None:
         observer.on_native_fallback(reason, **args)
     return None
+
+
+def _compile(cc, units, c_path, so_path):
+    """Build ``so_path`` from the module whose full source is ``c_path``
+    and whose translation units are ``units``: a one-unit module
+    compiles ``c_path`` itself, otherwise each unit is written beside
+    ``so_path`` (a private build directory) for the toolchain."""
+    if len(units) == 1:
+        return toolchain.compile_shared(cc, [c_path], so_path)
+    workdir = os.path.dirname(so_path)
+    paths = []
+    for index, text in enumerate(units):
+        path = os.path.join(workdir, "unit%d.c" % index)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        paths.append(path)
+    return toolchain.compile_shared(cc, paths, so_path)
+
+
+def _load_uncached(cc, units, source, stem):
+    """Build and load a module with no cache to keep it in.
+
+    The build runs in a private temporary directory that is removed
+    once the module is loaded (the mapping outlives its file), so the
+    result bypasses the by-path :data:`_LOADED` table.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-native-") as workdir:
+        c_path = os.path.join(workdir, stem + ".c")
+        so_path = os.path.join(workdir, stem + ".so")
+        with open(c_path, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        _compile(cc, units, c_path, so_path)
+        return toolchain.load_burst(so_path)
 
 
 def _load(so_path):
@@ -118,7 +161,7 @@ def build_native_module(model, table, cache=None, observer=None,
         identity = toolchain.compiler_identity(cc)
         key = artifact_key(source, state_layout)
 
-        so_path = None
+        so_path = loaded = None
         if cache is not None:
             hit = cache.load_native_artifact(key, identity)
             if hit is not None:
@@ -131,20 +174,16 @@ def build_native_module(model, table, cache=None, observer=None,
                 if cache is not None:
                     _, so_path = cache.store_native_artifact(
                         key, identity, source,
-                        lambda c, so: toolchain.compile_shared(cc, c, so),
+                        lambda c, so: _compile(cc, plan.units, c, so),
                     )
                 else:
-                    workdir = tempfile.mkdtemp(prefix="repro-native-")
-                    c_path = os.path.join(workdir, key[:16] + ".c")
-                    so_path = os.path.join(workdir, key[:16] + ".so")
-                    with open(c_path, "w", encoding="utf-8") as handle:
-                        handle.write(source)
-                    toolchain.compile_shared(cc, c_path, so_path)
+                    loaded = _load_uncached(cc, plan.units, source,
+                                            key[:16])
             if observer is not None:
                 observer.on_native("compile", key=key[:16],
                                    packets=len(plan.native_pcs))
 
-        burst, loader = _load(so_path)
+        burst, loader = loaded or _load(so_path)
     except (OSError, toolchain.NativeToolchainError) as exc:
         return _fallback(observer, "native build failed: %s" % exc,
                          model=model.name)

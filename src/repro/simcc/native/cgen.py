@@ -16,10 +16,14 @@ Two jobs live here:
    (``width=None``, via the pass pipeline), so they render unmasked.
 
 2. **Code generation.**  Each native packet's per-stage IR lowers to a
-   ``static void f_<pc>_<stage>(int64_t *S)`` over the flat
-   :class:`repro.simcc.native.layout.StateLayout` buffer, and one
-   exported ``repro_burst`` drives whole stretches of cycles with
-   exactly the semantics of
+   ``void s_<digest>(int64_t *S)`` over the flat
+   :class:`repro.simcc.native.layout.StateLayout` buffer.  A body is
+   rendered once however many (pc, stage) slots run it -- the digest
+   of its text is its name -- and the distinct bodies are split across
+   translation units of a fixed byte budget, so the toolchain can
+   compile them concurrently.  Every symbol has hidden visibility but
+   the one exported ``repro_burst``, which drives whole stretches of
+   cycles with exactly the semantics of
    :meth:`repro.machine.driver.Pipeline._step_plain`: retire, fetch (or
    stall/halt bubble), window shift, deepest-first stage execution with
    flush squashing.  Python is re-entered once per burst, not once per
@@ -33,6 +37,7 @@ re-raises the matching exception type.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
@@ -57,7 +62,9 @@ class NativePlan:
     (None for the plain one); ``metric_insns[pc - pc_base]`` is the
     instruction count one issue of that address contributes to the
     dispatch metrics (1 for table holes, matching the trap pseudo-slot
-    the Python front-end issues there).
+    the Python front-end issues there).  ``units`` are the module's
+    translation units, driver unit first; the rendered source is their
+    concatenation.
     """
 
     pc_base: int
@@ -69,6 +76,7 @@ class NativePlan:
     pull_names: Tuple[str, ...]
     telemetry: Optional[L.TelemetryRegion] = None
     metric_insns: Tuple[int, ...] = field(default=())
+    units: Tuple[str, ...] = field(default=())
 
     @property
     def n_pc(self):
@@ -263,7 +271,12 @@ _HELPERS = r"""
 #include <stdint.h>
 #include <setjmp.h>
 
-static jmp_buf trap_jmp;
+/* Only repro_burst leaves the shared object: stage functions and the
+ * trap target bind inside their own module, so two loaded modules with
+ * identically named functions never call into each other. */
+#pragma GCC visibility push(hidden)
+
+extern jmp_buf trap_jmp;
 
 #define HDR_CYCLES 0
 #define HDR_INSNS 1
@@ -355,6 +368,8 @@ static void h_halt(int64_t *S) {
 
 
 _BURST = r"""
+#pragma GCC visibility pop
+
 int64_t repro_burst(int64_t *S, const int64_t *native_ok,
                     int64_t max_cycles) {
     int64_t cycles_run = 0;
@@ -410,7 +425,7 @@ int64_t repro_burst(int64_t *S, const int64_t *native_ok,
         /* execute, deepest stage first */
         for (stage = DEPTH - 1; stage >= 0; stage--) {
             int64_t slot_pc = S[WIN_BASE + stage];
-            const opfn *fns;
+            opfn fn;
             if (slot_pc < 0) continue;
             if (stage < S[HDR_FLUSH_BELOW]) {
                 S[WIN_BASE + stage] = -1;
@@ -425,12 +440,12 @@ int64_t repro_burst(int64_t *S, const int64_t *native_ok,
                 }
                 continue;
             }
-            fns = stage_fns[(slot_pc - PC_BASE) * DEPTH + stage];
-            if (fns) {
+            fn = stage_fns[(slot_pc - PC_BASE) * DEPTH + stage];
+            if (fn) {
                 S[HDR_CUR_STAGE] = stage;
                 S[HDR_TRAP_PC] = slot_pc;
                 S[HDR_TRAP_STAGE] = stage;
-                for (; *fns; fns++) (*fns)(S);
+                fn(S);
             }
         }
         S[HDR_FLUSH_BELOW] = -1;
@@ -583,14 +598,50 @@ def _telemetry_burst():
     return text
 
 
-def render_stage_function(name, funcs, renderer):
-    """One per-(pc, stage) C function concatenating the packet's IR
-    functions for that stage, each in its own local scope."""
-    lines = ["static void %s(int64_t *S) {" % name]
+def _stage_body(funcs, renderer):
+    """The body of one per-(pc, stage) C function: the packet's IR
+    functions for that stage, each in its own local scope, and the
+    closing brace."""
+    lines = []
     for func in funcs:
         lines.extend(renderer.function_body(func, 1))
     lines.append("}")
     return "\n".join(lines)
+
+
+def render_stage_function(name, funcs, renderer):
+    """One per-(pc, stage) C function concatenating the packet's IR
+    functions for that stage, each in its own local scope."""
+    return "static void %s(int64_t *S) {\n%s" % (
+        name, _stage_body(funcs, renderer)
+    )
+
+
+#: Byte budget of one function translation unit.  It is fixed, never
+#: derived from the host's core count, so the rendered C (and with it
+#: the artifact key) is the same on every host; parallelism comes from
+#: compiling however many units the budget yields concurrently.
+UNIT_BUDGET = 16 * 1024
+
+
+def _function_units(prologue, definitions):
+    """Pack ``definitions`` in order into units of about
+    :data:`UNIT_BUDGET` bytes, each opening with ``prologue``."""
+    units, current, size = [], [], 0
+    for text in definitions:
+        if current and size + len(text) > UNIT_BUDGET:
+            units.append(current)
+            current, size = [], 0
+        current.append(text)
+        size += len(text)
+    if current:
+        units.append(current)
+    return [
+        "\n\n".join(["/* stage functions, unit %d of %d */" % (i + 1,
+                                                             len(units)),
+                     prologue, *texts]) + "\n"
+        for i, texts in enumerate(units)
+    ]
 
 
 def render_native_source(table, model, state_layout, telemetry=False,
@@ -599,6 +650,14 @@ def render_native_source(table, model, state_layout, telemetry=False,
 
     Returns ``(c_source, plan)``; ``plan.native_pcs`` names the packets
     the analysis proved, everything else falls back per-fetch.
+    ``c_source`` is the concatenation of ``plan.units``, the module's
+    translation units: a driver unit (helpers, dispatch tables and
+    ``repro_burst``) and, when the stage functions outgrow one
+    :data:`UNIT_BUDGET`, function units holding them.  Each distinct
+    stage-function body is rendered once, named by a digest of its
+    text, and every (pc, stage) slot running that body dispatches to
+    the one copy.  A module whose functions fit the budget is a single
+    unit.
 
     ``telemetry=True`` renders the instrumented variant: the buffer
     grows a side-region of per-packet dispatch/attributed-cycle
@@ -637,29 +696,8 @@ def render_native_source(table, model, state_layout, telemetry=False,
     native_pcs = set()
     reasons = {}
     reads, writes = set(), set()
-    chunks = [
-        "/* Auto-generated native burst module (repro.simcc.native).\n"
-        " * model=%s layout=%s  -- do not edit. */"
-        % (model.name, state_layout.digest()[:16]),
-    ]
-    if region is not None:
-        chunks.append("/* telemetry: %s */" % region.describe())
-        chunks.append(_telemetry_defines(region))
-        chunks.append(_telemetry_helpers())
-    else:
-        chunks.append(_HELPERS)
-    chunks.extend([
-        "#define DEPTH %d" % depth,
-        "#define WIN_BASE %d" % L.WIN_BASE,
-        "#define PC_OFF %d" % state_layout.pc_offset,
-        "#define PC_BASE %s" % _c_int(pc_base),
-        "#define PC_LIMIT %s" % _c_int(pc_limit),
-        "#define EXEC_STAGE %d" % exec_stage,
-    ])
-    if region is not None:
-        chunks.append(_TEL_BUBBLE)
-    chunks.append("typedef void (*opfn)(int64_t *);")
-
+    # Distinct stage-function bodies (first-seen order) -> names.
+    names_by_body = {}
     stage_lists = {}
     for pc in pcs:
         if admit_pcs is not None and pc not in admit_pcs:
@@ -677,30 +715,63 @@ def render_native_source(table, model, state_layout, telemetry=False,
         reads |= info.reads
         writes |= info.writes
         per_stage = []
-        for stage, funcs in enumerate(funcs_by_stage):
+        for funcs in funcs_by_stage:
             if not funcs:
                 per_stage.append(None)
                 continue
-            name = "f_%x_%d" % (pc, stage)
-            chunks.append(render_stage_function(name, funcs, renderer))
+            body = _stage_body(funcs, renderer)
+            name = names_by_body.get(body)
+            if name is None:
+                name = "s_" + hashlib.sha256(
+                    body.encode("utf-8")).hexdigest()[:16]
+                names_by_body[body] = name
             per_stage.append(name)
         stage_lists[pc] = per_stage
+    if len(set(names_by_body.values())) != len(names_by_body):
+        raise L.NativeUnsupported("stage-function digest collision")
 
-    # Per-(pc, stage) NULL-terminated op lists, then the dispatch table.
+    if region is not None:
+        prologue = "\n\n".join([
+            "/* telemetry: %s */" % region.describe(),
+            _telemetry_defines(region),
+            _telemetry_helpers(),
+        ])
+    else:
+        prologue = _HELPERS
+    definitions = ["void %s(int64_t *S) {\n%s" % (name, body)
+                   for body, name in names_by_body.items()]
+    if sum(len(text) for text in definitions) > UNIT_BUDGET:
+        function_units = _function_units(prologue, definitions)
+        definitions = ["void %s(int64_t *);" % name
+                       for name in names_by_body.values()]
+    else:
+        function_units = []
+
+    chunks = [
+        "/* Auto-generated native burst module (repro.simcc.native).\n"
+        " * model=%s layout=%s  -- do not edit. */"
+        % (model.name, state_layout.digest()[:16]),
+        prologue,
+        "jmp_buf trap_jmp;",
+        "#define DEPTH %d" % depth,
+        "#define WIN_BASE %d" % L.WIN_BASE,
+        "#define PC_OFF %d" % state_layout.pc_offset,
+        "#define PC_BASE %s" % _c_int(pc_base),
+        "#define PC_LIMIT %s" % _c_int(pc_limit),
+        "#define EXEC_STAGE %d" % exec_stage,
+    ]
+    if region is not None:
+        chunks.append(_TEL_BUBBLE)
+    chunks.append("typedef void (*opfn)(int64_t *);")
+    chunks.extend(definitions)
+
+    # The (pc, stage) dispatch table: one function, or 0 for no work.
     entries = []
     for pc in range(pc_base, pc_limit):
-        per_stage = stage_lists.get(pc)
-        for stage in range(depth):
-            name = per_stage[stage] if per_stage else None
-            if name is None:
-                entries.append("0")
-            else:
-                list_name = "ops_%x_%d" % (pc, stage)
-                chunks.append("static const opfn %s[] = { %s, 0 };"
-                              % (list_name, name))
-                entries.append(list_name)
+        per_stage = stage_lists.get(pc) or [None] * depth
+        entries.extend(name or "0" for name in per_stage)
     chunks.append(
-        "static const opfn *const stage_fns[] = {\n    %s\n};"
+        "static const opfn stage_fns[] = {\n    %s\n};"
         % ",\n    ".join(entries)
     )
 
@@ -719,6 +790,7 @@ def render_native_source(table, model, state_layout, telemetry=False,
     chunks.append("static const int32_t pkt_trap[] = { %s };"
                   % ", ".join(traps))
     chunks.append(_telemetry_burst() if region is not None else _BURST)
+    units = ("\n\n".join(chunks) + "\n", *function_units)
 
     metric_insns = tuple(
         table.slots[pc].insn_count if pc in table.slots else 1
@@ -733,9 +805,9 @@ def render_native_source(table, model, state_layout, telemetry=False,
         pc_base=pc_base, pc_limit=pc_limit, depth=depth,
         native_pcs=native_pcs, reasons=reasons,
         push_names=tuple(sorted(push)), pull_names=tuple(sorted(pull)),
-        telemetry=region, metric_insns=metric_insns,
+        telemetry=region, metric_insns=metric_insns, units=units,
     )
-    return "\n\n".join(chunks) + "\n", plan
+    return "".join(units), plan
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """C toolchain discovery, compilation and shared-object loading.
 
+:func:`compile_shared` is the one place cc runs: a module of several
+translation units compiles its units concurrently (one cc process per
+usable core) and links them; a one-unit module is a single cc call.
+
 Discovery honours ``$CC`` first (an *empty* ``CC`` explicitly disables
 the toolchain -- the CI fallback leg uses this), then falls back to
 ``cc``, ``gcc`` and ``clang`` on ``$PATH``.  Loading prefers cffi's
@@ -17,6 +21,7 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
+from concurrent.futures import ThreadPoolExecutor
 
 #: Flags used for every native artifact build (part of the cache key).
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -61,9 +66,16 @@ def compiler_identity(cc):
     return "%s | %s" % (first, " ".join(CFLAGS))
 
 
-def compile_shared(cc, c_path, so_path):
-    """Compile ``c_path`` into the shared object ``so_path``."""
-    cmd = [cc, *CFLAGS, "-o", so_path, c_path]
+def usable_cores():
+    """CPUs this process may run on (its affinity mask where the
+    platform exposes one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run(cmd):
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=300)
@@ -76,6 +88,32 @@ def compile_shared(cc, c_path, so_path):
             "compilation failed (%s):\n%s"
             % (" ".join(cmd), proc.stderr.strip())
         )
+
+
+def compile_shared(cc, c_paths, so_path):
+    """Compile the translation units ``c_paths`` into the shared object
+    ``so_path``.
+
+    One unit builds in a single cc call.  Several compile concurrently
+    with ``-c`` to objects beside ``so_path``, one cc process per
+    usable core at a time, and then link in one more call.
+    """
+    if len(c_paths) == 1:
+        _run([cc, *CFLAGS, "-o", so_path, c_paths[0]])
+        return so_path
+    workdir = os.path.dirname(os.path.abspath(so_path))
+    objects = [
+        os.path.join(workdir, os.path.splitext(os.path.basename(c))[0]
+                     + ".o")
+        for c in c_paths
+    ]
+    workers = min(len(c_paths), usable_cores())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(
+            lambda pair: _run([cc, *CFLAGS, "-c", "-o", pair[1], pair[0]]),
+            zip(c_paths, objects),
+        ))
+    _run([cc, *CFLAGS, "-o", so_path, *objects])
     return so_path
 
 
