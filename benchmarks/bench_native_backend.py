@@ -32,8 +32,8 @@ MIN_NATIVE_CPS = 1.0e7
 
 #: (row label, simulator kind, backend) -- slowest first.
 VARIANTS = (
-    ("compiled", "compiled", "auto"),
-    ("unfolded_static", "unfolded_static", "auto"),
+    ("compiled", "compiled", "python"),
+    ("unfolded_static", "unfolded_static", "python"),
     ("native", "unfolded_static", "native"),
 )
 

@@ -136,7 +136,7 @@ class _BaselinePipeline:
 
 
 def _fresh_engine(model, program, baseline=False, observer_factory=None,
-                  kind="compiled", backend="auto"):
+                  kind="compiled", backend="python"):
     observer = observer_factory() if observer_factory else None
     simulator = create_simulator(model, kind, observer=observer,
                                  backend=backend)

@@ -138,7 +138,7 @@ class Toolset:
 
     def new_simulator(self, kind="compiled", cache=None, jobs=None,
                       verify_schedule=False, observer=None,
-                      on_self_modify=None, backend="auto", tiering="off"):
+                      on_self_modify=None, backend="python", tiering="off"):
         """Create a fresh simulator.
 
         ``kind`` is one of ``interpretive``, ``predecoded`` (compiled
@@ -155,8 +155,8 @@ class Toolset:
         ``on_self_modify`` arms the program-memory write guard with a
         degradation policy (``error``, ``recompile`` or ``interpret``;
         see :mod:`repro.resilience`).  ``backend`` (table-based kinds)
-        selects the execution backend -- ``auto``, ``python`` or
-        ``native`` (compiled C bursts; falls back to the Python path
+        selects the execution backend -- ``python`` or ``native``
+        (compiled C bursts; falls back to the Python path
         when no C toolchain is available).  ``tiering``
         (``off``/``auto``/``aggressive`` or a
         :class:`repro.sim.tiering.TierPolicy`) enables adaptive tiered

@@ -32,7 +32,7 @@ import sys
 import time
 
 from repro.api import build_toolset, compile_lisa_file, list_models, load_model
-from repro.sim import SIM_BACKENDS, SIM_KINDS, create_simulator
+from repro.sim import SIM_BACKENDS, SIM_KINDS, canonical_backend, create_simulator
 from repro.support.errors import ReproError, SimulationTimeout
 from repro.tools.objfile import Program
 
@@ -282,11 +282,12 @@ def sim_main(argv=None):
     )
     parser.add_argument(
         "--backend", default=None, choices=SIM_BACKENDS,
+        type=canonical_backend,
         help="execution backend for the table-based kinds: 'native' "
         "compiles proven packets to C and bursts whole pipeline "
         "windows per call; when no C compiler is available it falls "
         "back to the Python path (one native.fallback trace event, "
-        "exit status unchanged) rather than failing (default: auto; "
+        "exit status unchanged) rather than failing (default: python; "
         "with --resume, the backend stamped into the checkpoint)",
     )
     parser.add_argument(
@@ -433,12 +434,13 @@ def sim_main(argv=None):
             checkpoint = Checkpoint.load(args.resume)
         backend = args.backend
         if backend is None:
-            backend = checkpoint.backend if checkpoint is not None else "auto"
+            backend = checkpoint.backend if checkpoint is not None \
+                else "python"
         tiering = args.tiering
         if tiering is None:
             tiering = checkpoint.tiering if checkpoint is not None else "off"
         if args.kind in ("interpretive", "predecoded") and args.backend is None:
-            backend = "auto"  # untabled kinds reject a stamped backend
+            backend = "python"  # untabled kinds reject a stamped backend
         if (args.kind in ("interpretive", "predecoded")
                 or backend == "native") and args.tiering is None:
             tiering = "off"  # stamped tiering does not apply here

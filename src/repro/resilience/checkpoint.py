@@ -40,7 +40,8 @@ _FILE_MARKER = "repro-checkpoint"
 #: Backend names earlier versions stamped that no longer exist, mapped
 #: to the backend a resume applies instead.  Restore itself is
 #: backend-portable, so the mapping only picks the run configuration.
-_LEGACY_BACKENDS = {"module": "auto"}
+#: ``auto`` was a second name for ``python``.
+_LEGACY_BACKENDS = {"module": "python", "auto": "python"}
 
 
 def program_digest(program):
@@ -87,7 +88,7 @@ class Checkpoint:
     # reverting to defaults (``repro-sim --resume`` does exactly that).
     # Older checkpoint files simply lack the keys and load with the
     # defaults below; a retired backend name reads as the default too.
-    backend: str = "auto"
+    backend: str = "python"
     tiering: str = "off"
 
     # -- capture / validation ----------------------------------------------
@@ -113,7 +114,7 @@ class Checkpoint:
             halted=control.halted,
             stall_cycles=control.stall_cycles,
             state=simulator.state.snapshot(),
-            backend=getattr(simulator, "backend", "auto"),
+            backend=getattr(simulator, "backend", "python"),
             tiering=_tiering_mode(simulator),
         )
 
@@ -175,7 +176,7 @@ class Checkpoint:
                 "checkpoint format %r is not supported (expected %d)"
                 % (fmt, CHECKPOINT_FORMAT)
             )
-        backend = payload.get("backend", "auto")
+        backend = payload.get("backend", "python")
         try:
             return cls(
                 format=fmt,

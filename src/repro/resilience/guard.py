@@ -72,7 +72,9 @@ def splice_table_window(table, mini, engine=None, mode="refresh", pcs=None):
         the self-modify path: program words *changed*, so the packet's
         cross-packet hazard analysis is void -- force
         ``schedule_safety`` to ``"unknown"`` (dynamically-composed
-        path) for every spliced packet.
+        path) for every spliced packet.  Lowered IR the table keeps
+        and its absint proofs follow the new words (a proof the mini
+        table lacks is dropped, never left stale).
     ``"promote"``
         the tiering path: program words are *unchanged*, only the slot
         representation got richer (e.g. sequenced -> instantiated), so
@@ -112,10 +114,19 @@ def splice_table_window(table, mini, engine=None, mode="refresh", pcs=None):
                     if table.proofs is None:
                         table.proofs = {}
                     table.proofs[pc] = proof
-        elif table.ir_by_stage is not None and mini.ir_by_stage:
-            ir = mini.ir_by_stage.get(pc)
-            if ir is not None:
-                table.ir_by_stage[pc] = ir
+        else:
+            if table.ir_by_stage is not None and mini.ir_by_stage:
+                ir = mini.ir_by_stage.get(pc)
+                if ir is not None:
+                    table.ir_by_stage[pc] = ir
+            if table.proofs is not None:
+                # The old proof describes the old words; the native
+                # renderer reads proofs rather than re-deriving them.
+                proof = (getattr(mini, "proofs", None) or {}).get(pc)
+                if proof is None:
+                    table.proofs.pop(pc, None)
+                else:
+                    table.proofs[pc] = proof
         updates[pc] = slot.words
     if engine is not None:
         flush = getattr(engine, "flush_interned", None)

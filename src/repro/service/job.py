@@ -47,7 +47,7 @@ class JobSpec:
     program: Dict[str, object]
     name: str = "job"
     kind: str = "compiled"
-    backend: str = "auto"
+    backend: str = "python"
     tiering: str = "off"
     max_cycles: int = 50_000_000
     max_wall_seconds: Optional[float] = None

@@ -594,7 +594,7 @@ class Supervisor:
                 "from": spec.kind, "to": "interpretive", "cause": cause,
             }
             spec.kind = "interpretive"
-            spec.backend = "auto"   # untabled kinds take no backend
+            spec.backend = "python"  # untabled kinds take no backend
             spec.tiering = "off"    # ... and no tiering
             job.degradations.append(action)
             self.metrics.bump(

@@ -36,18 +36,26 @@ SIM_KINDS = (
     "unfolded_static",
 )
 
-#: Execution backends for the table-based kinds.  ``auto``/``python``
-#: run the simulation table in Python; ``native`` builds a portable
-#: table, compiles its proven packets to C and bursts whole pipeline
-#: windows per call, falling back to that bound portable table in
-#: Python (with one ``native.fallback`` event) when no C toolchain is
-#: available.
-SIM_BACKENDS = ("auto", "python", "native")
+#: Execution backends for the table-based kinds.  ``python`` runs the
+#: simulation table in Python; ``native`` builds a portable table,
+#: compiles its proven packets to C and bursts whole pipeline windows
+#: per call, falling back to that bound portable table in Python (with
+#: one ``native.fallback`` event) when no C toolchain is available.
+SIM_BACKENDS = ("python", "native")
+
+#: ``auto`` was a second name for ``python``; it is still accepted and
+#: reads as ``python`` (checkpoints also read the retired ``module``).
+BACKEND_ALIASES = {"auto": "python"}
+
+
+def canonical_backend(name):
+    """The one name of the backend ``name`` selects."""
+    return BACKEND_ALIASES.get(name, name)
 
 
 def create_simulator(model, kind="compiled", cache=None, jobs=None,
                      verify_schedule=False, observer=None,
-                     on_self_modify=None, backend="auto", tiering="off"):
+                     on_self_modify=None, backend="python", tiering="off"):
     """Instantiate a simulator of the given ``kind`` for ``model``.
 
     ``cache`` (a :class:`repro.simcc.cache.SimulationCache`) and
@@ -71,6 +79,7 @@ def create_simulator(model, kind="compiled", cache=None, jobs=None,
     :class:`repro.sim.tiering.TierPolicy`) promotes profile-hot windows
     to richer representations mid-run; see :mod:`repro.sim.tiering`.
     """
+    backend = canonical_backend(backend)
     if backend not in SIM_BACKENDS:
         raise ReproError(
             "unknown simulation backend %r (expected one of %s)"
@@ -100,7 +109,7 @@ def create_simulator(model, kind="compiled", cache=None, jobs=None,
     else:
         tiering = "off"
     if kind in ("interpretive", "predecoded"):
-        if backend not in ("auto", "python"):
+        if backend != "python":
             raise ReproError(
                 "backend %r requires a table-based simulator kind "
                 "(compiled, static, unfolded or unfolded_static)"
@@ -147,6 +156,7 @@ def create_simulator(model, kind="compiled", cache=None, jobs=None,
 __all__ = [
     "SIM_KINDS",
     "SIM_BACKENDS",
+    "canonical_backend",
     "create_simulator",
     "Simulator",
     "InterpretiveSimulator",

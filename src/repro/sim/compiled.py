@@ -100,8 +100,8 @@ class CompiledSimulator(Simulator):
     set, load-time simulation compilation is replaced by a cache lookup
     (compiling and storing on the first miss).  ``jobs`` fans a cold
     compile out over a worker pool (see :mod:`repro.simcc.parallel`).
-    ``backend`` selects the execution backend -- ``auto``/``python``
-    or ``native`` (see :data:`repro.sim.SIM_BACKENDS`).  ``tiering``
+    ``backend`` selects the execution backend -- ``python`` or
+    ``native`` (see :data:`repro.sim.SIM_BACKENDS`).  ``tiering``
     enables adaptive tiered execution (see :mod:`repro.sim.tiering`):
     ``"auto"`` / ``"aggressive"`` (or a
     :class:`~repro.sim.tiering.TierPolicy`) promote profile-hot windows
@@ -109,7 +109,7 @@ class CompiledSimulator(Simulator):
     """
 
     def __init__(self, model, level="sequenced", cache=None, jobs=None,
-                 observer=None, backend="auto", tiering="off"):
+                 observer=None, backend="python", tiering="off"):
         super().__init__(model, observer=observer)
         self._level = level
         self._simcc = generate_simulation_compiler(model, validate=False)

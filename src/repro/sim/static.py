@@ -389,7 +389,7 @@ class StaticScheduledSimulator(Simulator):
     """
 
     def __init__(self, model, level="sequenced", cache=None, jobs=None,
-                 verify_schedule=False, observer=None, backend="auto",
+                 verify_schedule=False, observer=None, backend="python",
                  tiering="off"):
         super().__init__(model, observer=observer)
         self._level = level

@@ -28,6 +28,13 @@ crashes) are detected, quarantined (deleted) and treated as misses.
 An in-process LRU of rehydrated tables sits in front of the disk
 store, so repeated loads of the same program in one process skip even
 the ``exec``.
+
+Native burst artifacts live under :meth:`SimulationCache.native_root`:
+the generated C, the shared object and a metadata sidecar per artifact
+key, and beside them an :class:`ObjectStore` of compiled function-unit
+objects.  Stage-function bodies recur from program to program, so a
+multi-unit module links the cached objects that already define some of
+its bodies and compiles only the rest.
 """
 
 from __future__ import annotations
@@ -156,6 +163,9 @@ class SimulationCache:
         # promotions racing) serialise here so the builder runs once.
         self._flights = {}
         self._flights_mutex = threading.Lock()
+        # Object-store manifests read so far (published objects never
+        # change their bodies), keyed by manifest path.
+        self._manifests = {}
         self.stats = {
             "memory_hits": 0,
             "disk_hits": 0,
@@ -167,6 +177,8 @@ class SimulationCache:
             "native_hits": 0,
             "native_misses": 0,
             "native_stores": 0,
+            "objects_linked": 0,
+            "objects_stored": 0,
             "single_flight_waits": 0,
         }
 
@@ -312,6 +324,20 @@ class SimulationCache:
     def native_root(self):
         """Directory for native backend artifacts (versioned namespace)."""
         return os.path.join(self.root, _version_tag(), "native")
+
+    def object_store(self, compiler_id, prologue):
+        """The store of function-unit objects built by ``compiler_id``
+        from units opening with ``prologue`` (see :class:`ObjectStore`);
+        its directory, inside the versioned :meth:`native_root`, is
+        keyed by both, so a format bump or another compiler finds it
+        empty."""
+        digest = hashlib.sha256()
+        digest.update(compiler_id.encode("utf-8"))
+        digest.update(b"\n")
+        digest.update(hashlib.sha256(prologue.encode("utf-8")).digest())
+        directory = os.path.join(self.native_root(), "objects",
+                                 digest.hexdigest()[:32])
+        return ObjectStore(directory, self._manifests, self.stats)
 
     def _native_paths(self, key):
         base = os.path.join(self.native_root(), key[:2], key[2:])
@@ -466,3 +492,95 @@ class SimulationCache:
             except OSError:
                 pass
             raise
+
+
+class ObjectStore:
+    """Compiled function-unit objects for one (compiler identity,
+    function-unit prologue) pair.
+
+    A function unit is the prologue followed by stage-function
+    definitions, each named ``s_<digest of its body>``; once the
+    compiler and the prologue are fixed, a body name alone decides its
+    object code.  Each object ``<id>.o`` is published with a manifest
+    ``<id>.json`` naming the bodies it defines, so the store is indexed
+    by (prologue, compiler, body).  All symbols but ``repro_burst`` are
+    hidden, so bodies an object defines beyond what a module uses are
+    harmless -- but two objects defining one body must never meet in a
+    link.  Concurrent builders can each publish an object holding the
+    same new body, so :meth:`select` only ever picks objects whose
+    manifests are pairwise disjoint; a body whose objects all conflict
+    is compiled afresh.  The object is moved in before its manifest is
+    written, and both by atomic rename, so a published manifest always
+    names a complete object.
+    """
+
+    def __init__(self, directory, manifests, stats):
+        self.directory = directory
+        self._manifests = manifests
+        self._stats = stats
+
+    def _read_manifest(self, path):
+        bodies = self._manifests.get(path)
+        if bodies is None:
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    bodies = frozenset(json.load(handle)["bodies"])
+            except (OSError, ValueError, KeyError, TypeError):
+                return None
+            self._manifests[path] = bodies
+        return bodies
+
+    def select(self, names):
+        """Cached objects to link into a module defining ``names``.
+
+        Returns ``(object_paths, covered)``: objects chosen greedily,
+        most needed bodies first, among those whose manifests are
+        disjoint from every object already chosen, and the needed
+        bodies they define.
+        """
+        needed = frozenset(names)
+        try:
+            listing = os.listdir(self.directory)
+        except OSError:
+            return [], frozenset()
+        candidates = []
+        for entry in sorted(listing):
+            if not entry.endswith(".json"):
+                continue
+            bodies = self._read_manifest(os.path.join(self.directory, entry))
+            if bodies and not bodies.isdisjoint(needed):
+                candidates.append((len(bodies & needed), entry, bodies))
+        candidates.sort(key=lambda item: -item[0])
+        chosen, taken = [], set()
+        for _, entry, bodies in candidates:
+            obj = os.path.join(self.directory, entry[:-len(".json")] + ".o")
+            if taken.isdisjoint(bodies) and os.path.exists(obj):
+                chosen.append(obj)
+                taken |= bodies
+        self._stats["objects_linked"] += len(chosen)
+        return chosen, needed & taken
+
+    def publish(self, obj_path, names):
+        """Move the freshly built ``obj_path`` into the store as the
+        object defining ``names``."""
+        names = sorted(names)
+        stem = hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
+        base = os.path.join(self.directory, stem[:32])
+        os.makedirs(self.directory, exist_ok=True)
+        os.replace(obj_path, base + ".o")
+        fd, tmp_meta = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump({"bodies": names}, handle)
+        os.replace(tmp_meta, base + ".json")
+        self._stats["objects_stored"] += 1
+
+    def discard(self, object_paths):
+        """Unpublish objects (manifest first) that failed to link."""
+        for obj in object_paths:
+            base = os.path.splitext(obj)[0]
+            for path in (base + ".json", obj):
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+            self._manifests.pop(base + ".json", None)

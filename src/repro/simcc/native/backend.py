@@ -9,18 +9,25 @@ module backend instead.
 
 A module is rendered as several translation units (a driver unit plus
 units of deduplicated stage functions, see
-:func:`repro.simcc.native.cgen.render_native_source`); the unit files
-are written into the build directory and
-:func:`repro.simcc.native.toolchain.compile_shared` compiles them
-concurrently and links one shared object.
+:func:`repro.simcc.native.cgen.render_native_source`).  With a cache,
+stage-function bodies an earlier module already compiled come from the
+cache's :class:`repro.simcc.cache.ObjectStore`: only the driver unit
+and units of the bodies the store lacks are written into the build
+directory, and :func:`repro.simcc.native.toolchain.compile_shared`
+compiles them concurrently and links them with the cached objects into
+one shared object; the new objects join the store.  Without a cache
+the build is the same against an empty store -- it compiles exactly
+the rendered units -- in a private temporary directory that is removed
+once the module is loaded.  The store changes only which units are
+compiled, never the rendered C or the artifact key.
 
 Artifacts (the generated ``.c`` -- the units concatenated --, the built
 ``.so`` and a metadata sidecar) persist through
 :class:`repro.simcc.cache.SimulationCache` keyed by a digest of the C
 source plus the state-layout contract; the compiler identity lives in
-the metadata so a shared object built by a stale compiler misses and
-is rebuilt rather than loaded.  Without a cache the build runs in a
-private temporary directory that is removed once the module is loaded.
+the metadata (and in the object store's key) so a shared object or
+object file built by a stale compiler misses and is rebuilt rather
+than loaded or linked.
 """
 
 from __future__ import annotations
@@ -77,24 +84,60 @@ def _fallback(observer, reason, **args):
     return None
 
 
-def _compile(cc, units, c_path, so_path):
-    """Build ``so_path`` from the module whose full source is ``c_path``
-    and whose translation units are ``units``: a one-unit module
-    compiles ``c_path`` itself, otherwise each unit is written beside
-    ``so_path`` (a private build directory) for the toolchain."""
-    if len(units) == 1:
-        return toolchain.compile_shared(cc, [c_path], so_path)
+def _link(cc, plan, so_path, reused, covered):
+    """Compile the driver unit and units of the bodies not in
+    ``covered``, packed as :func:`cgen.render_native_source` packs
+    them, and link them with the ``reused`` objects.  Returns the new
+    objects as ``(path, body names)``."""
+    fresh = [item for item in plan.functions if item[0] not in covered]
+    groups = cgen.pack_functions(fresh)
+    texts = [plan.units[0], *cgen.function_units(plan.prologue, groups)]
     workdir = os.path.dirname(so_path)
     paths = []
-    for index, text in enumerate(units):
+    for index, text in enumerate(texts):
         path = os.path.join(workdir, "unit%d.c" % index)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         paths.append(path)
-    return toolchain.compile_shared(cc, paths, so_path)
+    toolchain.compile_shared(cc, paths, so_path, objects=reused)
+    return [
+        (toolchain.object_path(path), [name for name, _ in group])
+        for path, group in zip(paths[1:], groups)
+    ]
 
 
-def _load_uncached(cc, units, source, stem):
+def _compile(cc, plan, c_path, so_path, store=None):
+    """Build ``so_path`` from the module whose full source is ``c_path``.
+
+    A one-unit module compiles ``c_path`` itself.  Otherwise the units
+    are written beside ``so_path`` (a private build directory): the
+    driver unit plus units of the bodies ``store`` (a
+    :class:`repro.simcc.cache.ObjectStore`) does not hold, linked with
+    the objects that hold the rest; the new objects then join the
+    store.  No store is the same build against an empty one, which
+    compiles exactly ``plan.units``.  Should a link with reused objects
+    fail, the module is rebuilt from its own units and those objects
+    leave the store.
+    """
+    if len(plan.units) == 1:
+        return toolchain.compile_shared(cc, [c_path], so_path)
+    reused, covered = [], frozenset()
+    if store is not None:
+        reused, covered = store.select(name for name, _ in plan.functions)
+    try:
+        built = _link(cc, plan, so_path, reused, covered)
+    except toolchain.NativeToolchainError:
+        if not reused:
+            raise
+        built = _link(cc, plan, so_path, [], frozenset())
+        store.discard(reused)
+    if store is not None:
+        for obj, names in built:
+            store.publish(obj, names)
+    return so_path
+
+
+def _load_uncached(cc, plan, source, stem):
     """Build and load a module with no cache to keep it in.
 
     The build runs in a private temporary directory that is removed
@@ -106,7 +149,7 @@ def _load_uncached(cc, units, source, stem):
         so_path = os.path.join(workdir, stem + ".so")
         with open(c_path, "w", encoding="utf-8") as handle:
             handle.write(source)
-        _compile(cc, units, c_path, so_path)
+        _compile(cc, plan, c_path, so_path)
         return toolchain.load_burst(so_path)
 
 
@@ -172,13 +215,13 @@ def build_native_module(model, table, cache=None, observer=None,
             with _obs.span(observer, "native.compile", model=model.name,
                            packets=len(plan.native_pcs)):
                 if cache is not None:
+                    store = cache.object_store(identity, plan.prologue)
                     _, so_path = cache.store_native_artifact(
                         key, identity, source,
-                        lambda c, so: _compile(cc, plan.units, c, so),
+                        lambda c, so: _compile(cc, plan, c, so, store),
                     )
                 else:
-                    loaded = _load_uncached(cc, plan.units, source,
-                                            key[:16])
+                    loaded = _load_uncached(cc, plan, source, key[:16])
             if observer is not None:
                 observer.on_native("compile", key=key[:16],
                                    packets=len(plan.native_pcs))

@@ -7,10 +7,12 @@ Two jobs live here:
    natively only when the shared abstract interpreter
    (:mod:`repro.analysis.absint`) proves every intermediate value of
    every micro-op stays inside the signed 64-bit range (``INT64_MIN``
-   itself is excluded so magnitude negation can never overflow).
-   Packets that fail the proof -- or that write program memory, where
-   the self-modifying-code guard must observe every store -- simply
-   stay on the Python path; the burst driver hands control back
+   itself is excluded so magnitude negation can never overflow).  The
+   proofs are the ones the table carries (computed once when it was
+   built, and cached with it); only a packet without one is analysed
+   here.  Packets that fail the proof -- or that write program memory,
+   where the self-modifying-code guard must observe every store --
+   simply stay on the Python path; the burst driver hands control back
    whenever the next fetch would enter one.  Stores the same analysis
    proves canonical already reach the renderer as raw stores
    (``width=None``, via the pass pipeline), so they render unmasked.
@@ -21,9 +23,12 @@ Two jobs live here:
    rendered once however many (pc, stage) slots run it -- the digest
    of its text is its name -- and the distinct bodies are split across
    translation units of a fixed byte budget, so the toolchain can
-   compile them concurrently.  Every symbol has hidden visibility but
-   the one exported ``repro_burst``, which drives whole stretches of
-   cycles with exactly the semantics of
+   compile them concurrently; a body's object code depends only on its
+   name, the unit prologue and the compiler, which lets a cached build
+   link function units compiled for earlier modules (see
+   :mod:`repro.simcc.native.backend`).  Every symbol has hidden
+   visibility but the one exported ``repro_burst``, which drives whole
+   stretches of cycles with exactly the semantics of
    :meth:`repro.machine.driver.Pipeline._step_plain`: retire, fetch (or
    stall/halt bubble), window shift, deepest-first stage execution with
    flush squashing.  Python is re-entered once per burst, not once per
@@ -64,7 +69,11 @@ class NativePlan:
     dispatch metrics (1 for table holes, matching the trap pseudo-slot
     the Python front-end issues there).  ``units`` are the module's
     translation units, driver unit first; the rendered source is their
-    concatenation.
+    concatenation.  ``functions`` are the distinct stage-function
+    definitions as ``(name, text)`` in render order and ``prologue`` is
+    the text every function unit opens with: a build that reuses
+    cached objects for some bodies repacks the rest with
+    :func:`function_units`.
     """
 
     pc_base: int
@@ -77,17 +86,29 @@ class NativePlan:
     telemetry: Optional[L.TelemetryRegion] = None
     metric_insns: Tuple[int, ...] = field(default=())
     units: Tuple[str, ...] = field(default=())
+    functions: Tuple[Tuple[str, str], ...] = field(default=())
+    prologue: str = ""
 
     @property
     def n_pc(self):
         return self.pc_limit - self.pc_base
 
 
-def analyze_packet(funcs_by_stage, model, pmem_name):
-    """One packet's nativisability proof (see
-    :func:`repro.analysis.absint.analyze_packet`); the former private
-    interval walker lives on only as that shared analysis."""
-    return absint.analyze_packet(funcs_by_stage, model, pmem_name)
+def _packet_proofs(table, model):
+    """``proof(pc, funcs_by_stage)``: the nativisability proof of one
+    packet.  Proofs the table already holds (built or cached with it)
+    are read, never recomputed; only a packet without one is analysed
+    (:func:`repro.analysis.absint.analyze_packet`)."""
+    proofs = absint.table_proofs(table, model) or {}
+    pmem_name = model.config.program_memory
+
+    def proof(pc, funcs_by_stage):
+        found = proofs.get(pc)
+        if found is None:
+            found = absint.analyze_packet(funcs_by_stage, model, pmem_name)
+        return found
+
+    return proof
 
 
 # ---------------------------------------------------------------------------
@@ -624,23 +645,29 @@ def render_stage_function(name, funcs, renderer):
 UNIT_BUDGET = 16 * 1024
 
 
-def _function_units(prologue, definitions):
-    """Pack ``definitions`` in order into units of about
-    :data:`UNIT_BUDGET` bytes, each opening with ``prologue``."""
-    units, current, size = [], [], 0
-    for text in definitions:
+def pack_functions(functions):
+    """Group ``(name, text)`` definitions, in order, into units of
+    about :data:`UNIT_BUDGET` bytes."""
+    groups, current, size = [], [], 0
+    for name, text in functions:
         if current and size + len(text) > UNIT_BUDGET:
-            units.append(current)
+            groups.append(current)
             current, size = [], 0
-        current.append(text)
+        current.append((name, text))
         size += len(text)
     if current:
-        units.append(current)
+        groups.append(current)
+    return groups
+
+
+def function_units(prologue, groups):
+    """The translation unit of each group of :func:`pack_functions`,
+    each opening with ``prologue``."""
     return [
         "\n\n".join(["/* stage functions, unit %d of %d */" % (i + 1,
-                                                             len(units)),
-                     prologue, *texts]) + "\n"
-        for i, texts in enumerate(units)
+                                                             len(groups)),
+                     prologue, *(text for _, text in group)]) + "\n"
+        for i, group in enumerate(groups)
     ]
 
 
@@ -674,7 +701,6 @@ def render_native_source(table, model, state_layout, telemetry=False,
     and the admitted set shapes the generated C -- distinct sets cache
     under distinct artifact keys.
     """
-    pmem_name = model.config.program_memory
     depth = model.pipeline.depth
     ir_by_stage = table.ir_by_stage or {}
     pcs = sorted(table.slots)
@@ -693,6 +719,7 @@ def render_native_source(table, model, state_layout, telemetry=False,
         )
 
     renderer = _CRenderer(model, state_layout)
+    proof = _packet_proofs(table, model)
     native_pcs = set()
     reasons = {}
     reads, writes = set(), set()
@@ -707,7 +734,7 @@ def render_native_source(table, model, state_layout, telemetry=False,
         if funcs_by_stage is None:
             reasons[pc] = "no lowered IR"
             continue
-        info = analyze_packet(funcs_by_stage, model, pmem_name)
+        info = proof(pc, funcs_by_stage)
         if not info.native:
             reasons[pc] = info.reason
             continue
@@ -738,14 +765,16 @@ def render_native_source(table, model, state_layout, telemetry=False,
         ])
     else:
         prologue = _HELPERS
-    definitions = ["void %s(int64_t *S) {\n%s" % (name, body)
-                   for body, name in names_by_body.items()]
-    if sum(len(text) for text in definitions) > UNIT_BUDGET:
-        function_units = _function_units(prologue, definitions)
-        definitions = ["void %s(int64_t *);" % name
-                       for name in names_by_body.values()]
+    functions = tuple(
+        (name, "void %s(int64_t *S) {\n%s" % (name, body))
+        for body, name in names_by_body.items()
+    )
+    if sum(len(text) for _, text in functions) > UNIT_BUDGET:
+        separate = function_units(prologue, pack_functions(functions))
+        definitions = ["void %s(int64_t *);" % name for name, _ in functions]
     else:
-        function_units = []
+        separate = []
+        definitions = [text for _, text in functions]
 
     chunks = [
         "/* Auto-generated native burst module (repro.simcc.native).\n"
@@ -790,7 +819,7 @@ def render_native_source(table, model, state_layout, telemetry=False,
     chunks.append("static const int32_t pkt_trap[] = { %s };"
                   % ", ".join(traps))
     chunks.append(_telemetry_burst() if region is not None else _BURST)
-    units = ("\n\n".join(chunks) + "\n", *function_units)
+    units = ("\n\n".join(chunks) + "\n", *separate)
 
     metric_insns = tuple(
         table.slots[pc].insn_count if pc in table.slots else 1
@@ -806,6 +835,7 @@ def render_native_source(table, model, state_layout, telemetry=False,
         native_pcs=native_pcs, reasons=reasons,
         push_names=tuple(sorted(push)), pull_names=tuple(sorted(pull)),
         telemetry=region, metric_insns=metric_insns, units=units,
+        functions=functions, prologue=prologue,
     )
     return "".join(units), plan
 
@@ -832,13 +862,13 @@ def dump_program_c(model, program, stream=None):
     state = ProcessorState(model)
     control = PipelineControl()
     table = portable.bind(state, control)
-    pmem_name = model.config.program_memory
+    proof = _packet_proofs(table, model)
     renderer = _CRenderer(model, state_layout)
     out.write("/* native rendering: model=%s program=%s layout=%s */\n"
               % (model.name, program.name, state_layout.digest()[:16]))
     for pc in sorted(table.slots):
         funcs_by_stage = table.ir_by_stage.get(pc, ())
-        info = analyze_packet(funcs_by_stage, model, pmem_name)
+        info = proof(pc, funcs_by_stage)
         if not info.native:
             out.write("\n/* pc=0x%x: python fallback (%s) */\n"
                       % (pc, info.reason))

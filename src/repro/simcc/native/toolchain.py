@@ -2,7 +2,9 @@
 
 :func:`compile_shared` is the one place cc runs: a module of several
 translation units compiles its units concurrently (one cc process per
-usable core) and links them; a one-unit module is a single cc call.
+usable core) and links them, together with any prebuilt objects the
+caller names (function units reused from the cache's object store); a
+one-unit module is a single cc call, which also links those objects.
 
 Discovery honours ``$CC`` first (an *empty* ``CC`` explicitly disables
 the toolchain -- the CI fallback leg uses this), then falls back to
@@ -11,9 +13,11 @@ ABI-mode ``dlopen`` and falls back to :mod:`ctypes`; both paths expose
 the same ``burst(buf_addr, ok_addr, max_cycles) -> int`` callable over
 raw ``array('q')`` buffer addresses, so neither is a hard dependency.
 
-Compiler identity (the first line of ``cc --version``) and the flag
-set are part of every artifact's metadata: a cached shared object
-built by a different compiler or flag set must miss, never load.
+Compiler identity (the resolved compiler path, the first line of
+``cc --version`` and the flag set) is part of every artifact's metadata
+and of every cached object's key: a shared object or object file built
+by a different compiler, wrapper or flag set must miss, never load or
+link.
 """
 
 from __future__ import annotations
@@ -52,8 +56,14 @@ def find_compiler():
 
 
 def compiler_identity(cc):
-    """A stable identity string for ``cc`` (first ``--version`` line
-    plus the flag set); part of every artifact's cache key."""
+    """A stable identity string for ``cc``: its resolved path, first
+    ``--version`` line and the flag set; part of every artifact's and
+    object's cache key.
+
+    The path matters because a wrapper script (say, one adding
+    sanitizer flags) prints the same version line as the compiler it
+    wraps, yet its objects must never link with plain ones.
+    """
     try:
         out = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, timeout=30,
@@ -63,7 +73,7 @@ def compiler_identity(cc):
             "cannot identify compiler %r: %s" % (cc, exc)
         ) from exc
     first = out.splitlines()[0].strip() if out else os.path.basename(cc)
-    return "%s | %s" % (first, " ".join(CFLAGS))
+    return "%s | %s | %s" % (os.path.realpath(cc), first, " ".join(CFLAGS))
 
 
 def usable_cores():
@@ -90,30 +100,32 @@ def _run(cmd):
         )
 
 
-def compile_shared(cc, c_paths, so_path):
-    """Compile the translation units ``c_paths`` into the shared object
-    ``so_path``.
+def object_path(c_path):
+    """Where :func:`compile_shared` puts the object of unit ``c_path``
+    when it compiles units separately."""
+    return os.path.splitext(c_path)[0] + ".o"
 
-    One unit builds in a single cc call.  Several compile concurrently
-    with ``-c`` to objects beside ``so_path``, one cc process per
-    usable core at a time, and then link in one more call.
+
+def compile_shared(cc, c_paths, so_path, objects=()):
+    """Compile the translation units ``c_paths`` and link them, with
+    the prebuilt ``objects``, into the shared object ``so_path``.
+
+    One unit builds (and links ``objects``) in a single cc call.
+    Several compile concurrently with ``-c`` to :func:`object_path`,
+    one cc process per usable core at a time, and then link in one more
+    call.
     """
     if len(c_paths) == 1:
-        _run([cc, *CFLAGS, "-o", so_path, c_paths[0]])
+        _run([cc, *CFLAGS, "-o", so_path, c_paths[0], *objects])
         return so_path
-    workdir = os.path.dirname(os.path.abspath(so_path))
-    objects = [
-        os.path.join(workdir, os.path.splitext(os.path.basename(c))[0]
-                     + ".o")
-        for c in c_paths
-    ]
+    built = [object_path(c) for c in c_paths]
     workers = min(len(c_paths), usable_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(
             lambda pair: _run([cc, *CFLAGS, "-c", "-o", pair[1], pair[0]]),
-            zip(c_paths, objects),
+            zip(c_paths, built),
         ))
-    _run([cc, *CFLAGS, "-o", so_path, *objects])
+    _run([cc, *CFLAGS, "-o", so_path, *built, *objects])
     return so_path
 
 

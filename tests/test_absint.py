@@ -19,6 +19,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import io
 import marshal
 
 import pytest
@@ -42,8 +43,9 @@ from repro.machine.driver import Pipeline
 from repro.machine.state import ProcessorState
 from repro.sim import create_simulator
 from repro.simcc import ir
+from repro.simcc.cache import SimulationCache
 from repro.simcc.emit import emit_simulator_module
-from repro.simcc.native import native_available
+from repro.simcc.native import StateLayout, cgen, native_available
 from repro.simcc.portable import PortableTable, build_portable_table
 
 APP_MATRIX = [
@@ -367,6 +369,45 @@ def test_native_admission_matches_structure(builder):
             "0x%x: native=%s expected=%s (%s)"
             % (pc, proof.native, expected, proof.reason)
         )
+
+
+@app_matrix
+def test_cached_proofs_equal_fresh_analysis(builder, tmp_path,
+                                            monkeypatch):
+    """The native renderer and ``--dump-c`` read each packet's proof
+    from the table; after a cache round trip every stored proof equals
+    a fresh analysis of the packet's IR, and the rendered C is the
+    same as when every proof is recomputed."""
+    model, program = load_app_program(builder())
+    root = str(tmp_path / "cache")
+    SimulationCache(root).store_portable(model, program, "instantiated",
+                        build_portable_table(model, program,
+                                             level="instantiated"))
+    warm = SimulationCache(root)
+    portable = warm.load_portable(model, program, "instantiated")
+    assert warm.stats["disk_hits"] == 1
+    state = ProcessorState(model)
+    program.load_into(state)
+    table = portable.bind(state, PipelineControl())
+    pmem_name = model.config.program_memory
+    assert set(table.proofs) == set(table.ir_by_stage)
+    for pc, funcs_by_stage in table.ir_by_stage.items():
+        assert table.proofs[pc] == analyze_packet(funcs_by_stage, model,
+                                                  pmem_name), hex(pc)
+
+    layout = StateLayout.build(model)
+    with monkeypatch.context() as patch:
+        # reading proofs means analysing none
+        patch.setattr(absint, "analyze_packet", None)
+        source, _ = cgen.render_native_source(table, model, layout)
+    table.proofs = None
+    assert cgen.render_native_source(table, model, layout)[0] == source
+    dumped, recomputed = io.StringIO(), io.StringIO()
+    cgen.dump_program_c(model, program, dumped)
+    with monkeypatch.context() as patch:
+        patch.setattr(absint, "table_proofs", lambda table, model: None)
+        cgen.dump_program_c(model, program, recomputed)
+    assert dumped.getvalue() == recomputed.getvalue()
 
 
 @app_matrix

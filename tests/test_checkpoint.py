@@ -373,7 +373,7 @@ class TestRunConfigMetadata:
         assert clone.backend == "python"
         assert clone.tiering == "aggressive"
 
-    @pytest.mark.parametrize("stamped_backend", [None, "module"])
+    @pytest.mark.parametrize("stamped_backend", [None, "module", "auto"])
     def test_legacy_payload_defaults_to_auto_off(
         self, testmodel, loop_program, stamped_backend
     ):
@@ -382,20 +382,21 @@ class TestRunConfigMetadata:
         )
         payload = checkpoint.to_payload()
         # a file written before the metadata existed lacks the keys;
-        # one written under the retired ``module`` backend stamps it
+        # one written under the retired ``module`` backend, or under
+        # ``auto`` (a second name for ``python``), stamps it
         del payload["tiering"]
         if stamped_backend is None:
             del payload["backend"]
         else:
             payload["backend"] = stamped_backend
         legacy = Checkpoint.from_payload(payload)
-        assert legacy.backend == "auto"
+        assert legacy.backend == "python"
         assert legacy.tiering == "off"
 
     def test_restore_stays_config_portable(self, testmodel, loop_program,
                                            reference_runs):
         # metadata never *gates* restore: a python-backend checkpoint
-        # restores fine on an auto-backend simulator
+        # restores fine on a default-backend simulator
         simulator = create_simulator(
             testmodel, "compiled", backend="python"
         )
@@ -467,7 +468,23 @@ class TestCliResumeConfig:
         capsys.readouterr()
         assert sim_main([
             lisa_file, asm_file, "--resume", ckpt,
-            "--tiering", "off", "--backend", "auto",
+            "--tiering", "off", "--backend", "native",
         ]) == 0
         err = capsys.readouterr().err
-        assert "backend auto, tiering off" in err
+        assert "backend native, tiering off" in err
+
+    def test_retired_backend_flag_reads_as_python(
+        self, tmp_path, lisa_file, asm_file, capsys
+    ):
+        ckpt = str(tmp_path / "loop.ckpt")
+        with pytest.raises(SystemExit):
+            sim_main([
+                lisa_file, asm_file, "--backend", "auto",
+                "--max-cycles", "15", "--checkpoint-file", ckpt,
+            ])
+        capsys.readouterr()
+        assert load_checkpoint(ckpt).backend == "python"
+        assert sim_main([
+            lisa_file, asm_file, "--resume", ckpt, "--backend", "auto",
+        ]) == 0
+        assert "backend python, tiering off" in capsys.readouterr().err

@@ -552,6 +552,15 @@ class TestNativeBackendFallback:
         with pytest.raises(ReproError, match="table-based"):
             create_simulator(testmodel, "interpretive", backend="native")
 
+    def test_one_name_for_the_python_backend(self, testmodel):
+        from repro.sim import SIM_BACKENDS
+
+        assert SIM_BACKENDS == ("python", "native")
+        for kind in ("compiled", "unfolded_static"):
+            assert create_simulator(testmodel, kind).backend == "python"
+            assert create_simulator(testmodel, kind,
+                                    backend="auto").backend == "python"
+
 
 class TestDumpC:
     def test_cli_dump_c(self, tmp_path, capsys):

@@ -16,14 +16,23 @@ that must not change or break:
   each binding its own functions and its own trap target (hidden
   visibility: only ``repro_burst`` is exported);
 * concurrent builders of one cache key both end with a loadable
-  module, and no build directory outlives its build.
+  module, and no build directory outlives its build;
+* with a cache, a module links the function-unit objects earlier
+  modules left in the object store and compiles only unseen bodies --
+  bit-exact, with no duplicate symbol even when racing builders
+  published overlapping objects, and with a clean miss across a format
+  bump or a compiler change; the C text and its key never depend on
+  what the store holds.
 """
 
 from __future__ import annotations
 
 import ctypes
+import json
+import multiprocessing
 import os
 import re
+import stat
 import tempfile
 import threading
 
@@ -36,7 +45,8 @@ from repro.machine.control import PipelineControl
 from repro.machine.state import ProcessorState
 from repro.sim import create_simulator
 from repro.simcc import SimulationCompiler
-from repro.simcc.cache import SimulationCache
+from repro.simcc import cache as cache_module
+from repro.simcc.cache import ObjectStore, SimulationCache
 from repro.simcc.native import (
     NativePipeline,
     StateLayout,
@@ -306,7 +316,7 @@ class TestBuildDirectories:
 
         def compile_fn(c_path, so_path):
             barrier.wait(timeout=60)
-            return backend._compile(cc, plan.units, c_path, so_path)
+            return backend._compile(cc, plan, c_path, so_path)
 
         def store():
             try:
@@ -347,3 +357,284 @@ class TestBuildDirectories:
         module = build_native_module(testmodel, _table(testmodel, program))
         assert module is not None and module.so_path is None
         assert os.listdir(str(tmp_path)) == []
+
+
+def _program(tools, seed):
+    app = _gsm(seed)
+    return app, tools.assembler.assemble_text(app.source, name=app.name)
+
+
+def _bodies(module):
+    return {name for name, _ in module.plan.functions}
+
+
+def _interpretive(model, program):
+    reference = create_simulator(model, "interpretive")
+    reference.load_program(program)
+    reference.run()
+    return reference
+
+
+def _manifest(path):
+    with open(path, encoding="utf-8") as handle:
+        return set(json.load(handle)["bodies"])
+
+
+def _manifests(root):
+    """Body sets of every object in every store under ``root``."""
+    found = []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".json") and os.path.basename(
+                    os.path.dirname(directory)) == "objects":
+                found.append(_manifest(os.path.join(directory, name)))
+    return found
+
+
+def _race_build(root, seed, barrier):
+    """One racing builder (a fresh process): select from the shared
+    store, wait until the other builder has selected too, then compile
+    and publish; the module must load and run bit-exact."""
+    from repro.api import load_model
+
+    tools = build_toolset(load_model("c62x"))
+    compile_shared = toolchain.compile_shared
+
+    def after_both_selected(*args, **kwargs):
+        barrier.wait(timeout=120)
+        return compile_shared(*args, **kwargs)
+
+    toolchain.compile_shared = after_both_selected
+    app, program = _program(tools, seed)
+    cache = SimulationCache(root)
+    native = _run(tools.model, program, backend="native", cache=cache)
+    assert isinstance(native.engine, NativePipeline)
+    assert cache.stats["objects_linked"] == 0
+    reference = _interpretive(tools.model, program)
+    assert native.state.differences(reference.state) == []
+    app.verify(native.state)
+
+
+class TestCompilerIdentity:
+    def test_paths_with_one_version_line_differ(self, tmp_path):
+        """A ``$CC`` wrapper prints the version line of the compiler it
+        wraps; its objects must still never share a key with plain
+        ones."""
+        paths = []
+        for name in ("cc-plain", "cc-wrapped"):
+            path = tmp_path / name
+            path.write_text("#!/bin/sh\necho 'gcc (Fake) 12.2.0'\n")
+            path.chmod(path.stat().st_mode | stat.S_IXUSR)
+            paths.append(str(path))
+        first, second = (toolchain.compiler_identity(p) for p in paths)
+        assert "gcc (Fake) 12.2.0" in first and "gcc (Fake) 12.2.0" in second
+        assert first != second
+
+
+@needs_cc
+class TestObjectStore:
+    def test_mixed_cached_and_new_objects_bit_exact(self, c62x_tools,
+                                                    tmp_path):
+        model = c62x_tools.model
+        cache = SimulationCache(str(tmp_path / "cache"))
+        first_app, first_program = _program(c62x_tools, 11)
+        first = _run(model, first_program, backend="native", cache=cache)
+        assert cache.stats["objects_linked"] == 0
+        stored = cache.stats["objects_stored"]
+        assert stored == len(first.engine._module.plan.units) - 1
+
+        app, program = _program(c62x_tools, 13)
+        native = _run(model, program, backend="native", cache=cache)
+        assert isinstance(native.engine, NativePipeline)
+        assert native.engine.dispatch_counts["native_cycles"] > 0
+        assert cache.stats["objects_linked"] >= 1
+        assert cache.stats["objects_stored"] > stored
+        reference = _interpretive(model, program)
+        assert native.state.differences(reference.state) == []
+        assert native.cycles == reference.cycles
+        app.verify(native.state)
+
+    def test_second_module_compiles_only_unseen_bodies(self, c62x_tools,
+                                                       tmp_path,
+                                                       monkeypatch):
+        model = c62x_tools.model
+        cache = SimulationCache(str(tmp_path / "cache"))
+        first = _run(model, _program(c62x_tools, 11)[1],
+                     backend="native", cache=cache)
+        seen = _bodies(first.engine._module)
+
+        commands, compiled = [], []
+        original = toolchain._run
+
+        def recording(cmd):
+            commands.append(cmd)
+            if "-c" in cmd:
+                with open(cmd[-1], encoding="utf-8") as handle:
+                    compiled.append(handle.read())
+            return original(cmd)
+
+        monkeypatch.setattr(toolchain, "_run", recording)
+        second = _run(model, _program(c62x_tools, 13)[1],
+                      backend="native", cache=cache)
+        module = second.engine._module
+        unseen = [item for item in module.plan.functions
+                  if item[0] not in seen]
+        assert 0 < len(unseen) < len(module.plan.functions)
+        # the driver unit plus units packing exactly the unseen bodies
+        # (the units compile concurrently, in no fixed order)
+        assert module.plan.units[0] in compiled
+        defined = sorted(name for unit in compiled
+                         for name in _DEFINITION.findall(unit))
+        assert defined == sorted(name for name, _ in unseen)
+        assert sum("-c" in cmd for cmd in commands) == (
+            1 + len(cgen.pack_functions(unseen)))
+        link = commands[-1]
+        assert "-c" not in link and len(commands) == len(compiled) + 1
+        store = cache.object_store(toolchain.compiler_identity(
+            toolchain.find_compiler()), module.plan.prologue)
+        assert any(arg.startswith(store.directory) for arg in link)
+
+    def test_unlinkable_cached_object_is_dropped(self, c62x_tools,
+                                                 tmp_path):
+        """A cached object that no longer links (damaged on disk) costs
+        one rebuild from the module's own units, never a fallback, and
+        leaves the store."""
+        model = c62x_tools.model
+        root = str(tmp_path / "cache")
+        _run(model, _program(c62x_tools, 11)[1], backend="native",
+             cache=SimulationCache(root))
+        damaged = [os.path.join(directory, name)
+                   for directory, _, files in os.walk(root)
+                   for name in files if name.endswith(".o")]
+        assert damaged
+        for path in damaged:
+            with open(path, "wb") as handle:
+                handle.write(b"not an object file")
+
+        cache = SimulationCache(root)
+        app, program = _program(c62x_tools, 13)
+        native = _run(model, program, backend="native", cache=cache)
+        assert isinstance(native.engine, NativePipeline)
+        assert cache.stats["objects_linked"] >= 1
+        assert native.state.differences(
+            _interpretive(model, program).state) == []
+        for path in damaged:
+            assert not os.path.exists(path)
+            assert not os.path.exists(os.path.splitext(path)[0] + ".json")
+        # the rebuilt module's objects replaced them
+        assert cache.stats["objects_stored"] >= 1
+        assert _manifests(root)
+
+    def test_racing_builders_then_a_module_needing_both(self, c62x_tools,
+                                                        tmp_path,
+                                                        monkeypatch):
+        """Two processes build overlapping new bodies at once, so both
+        publish objects holding shared bodies; a third module needing
+        bodies of both links disjoint objects only."""
+        model = c62x_tools.model
+        root = str(tmp_path / "cache")
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        racers = [context.Process(target=_race_build,
+                                  args=(root, seed, barrier))
+                  for seed in (11, 13)]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(timeout=300)
+            assert not racer.is_alive()
+        assert [racer.exitcode for racer in racers] == [0, 0]
+        manifests = _manifests(root)
+        assert any(a & b for i, a in enumerate(manifests)
+                   for b in manifests[i + 1:])
+
+        chosen = []
+        select = ObjectStore.select
+
+        def recording(store, names):
+            objects, covered = select(store, names)
+            chosen.append(objects)
+            return objects, covered
+
+        def no_discard(store, objects):
+            raise AssertionError("link with cached objects failed")
+
+        monkeypatch.setattr(ObjectStore, "select", recording)
+        monkeypatch.setattr(ObjectStore, "discard", no_discard)
+        cache = SimulationCache(root)
+        app, program = _program(c62x_tools, 17)
+        native = _run(model, program, backend="native", cache=cache)
+        assert isinstance(native.engine, NativePipeline)
+        reference = _interpretive(model, program)
+        assert native.state.differences(reference.state) == []
+        assert native.cycles == reference.cycles
+        app.verify(native.state)
+        [objects] = chosen
+        assert objects
+        bodies = [_manifest(os.path.splitext(obj)[0] + ".json")
+                  for obj in objects]
+        for i, mine in enumerate(bodies):
+            for other in bodies[i + 1:]:
+                assert not mine & other
+
+    def test_format_bump_and_compiler_change_are_clean_misses(
+            self, c62x_tools, tmp_path, monkeypatch):
+        model = c62x_tools.model
+        root = str(tmp_path / "cache")
+        _run(model, _program(c62x_tools, 11)[1], backend="native",
+             cache=SimulationCache(root))
+        program = _program(c62x_tools, 13)[1]
+        reference = _interpretive(model, program)
+
+        def rebuild(**patches):
+            with monkeypatch.context() as patch:
+                for name, value in patches.items():
+                    owner, attr = name.split(".")
+                    target = cache_module if owner == "cache" else toolchain
+                    patch.setattr(target, attr, value)
+                cache = SimulationCache(root)
+                native = _run(model, program, backend="native", cache=cache)
+            assert isinstance(native.engine, NativePipeline)
+            assert native.state.differences(reference.state) == []
+            return cache.stats
+
+        identity = toolchain.compiler_identity
+        bumped = rebuild(**{"cache.FORMAT_VERSION":
+                            cache_module.FORMAT_VERSION + 1})
+        changed = rebuild(**{"toolchain.compiler_identity":
+                             lambda cc: identity(cc) + " | other"})
+        for stats in (bumped, changed):
+            assert stats["native_misses"] == 1
+            assert stats["objects_linked"] == 0
+            assert stats["objects_stored"] >= 1
+        # the unchanged format and compiler still reuse objects
+        assert rebuild()["objects_linked"] >= 1
+
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_source_and_key_independent_of_store(self, c62x_tools,
+                                                 tmp_path, monkeypatch,
+                                                 cores):
+        model = c62x_tools.model
+        layout = StateLayout.build(model)
+        program = _program(c62x_tools, 13)[1]
+        source, _ = _render(model, program)
+        cold = build_native_module(model, _table(model, program))
+        assert cold.source == source
+
+        root = str(tmp_path / "cache")
+        _run(model, _program(c62x_tools, 11)[1], backend="native",
+             cache=SimulationCache(root))
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        cache = SimulationCache(root)
+        warm = build_native_module(model, _table(model, program),
+                                   cache=cache)
+        assert cache.stats["objects_linked"] >= 1
+        assert warm.source == source
+        assert _render(model, program)[0] == source
+        key = artifact_key(source, layout)
+        assert os.path.basename(warm.so_path) == key[2:] + ".so"
+        with open(warm.so_path[:-len(".so")] + ".c",
+                  encoding="utf-8") as handle:
+            assert handle.read() == source

@@ -123,6 +123,9 @@ class TestJobSpec:
         with pytest.raises(ReproError, match="model"):
             JobSpec.from_dict({"program": {}})
 
+    def test_default_backend_is_python(self, fir_spec):
+        assert fir_spec.backend == "python"
+
     def test_rejects_unknown_fields(self, fir_spec):
         data = fir_spec.to_dict()
         data["prioritee"] = 7
